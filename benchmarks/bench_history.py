@@ -139,6 +139,9 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
             "hub_incremental_vs_rebuild": (
                 "speedups", "hub_incremental_vs_rebuild",
             ),
+            "signature_incremental_vs_rebuild": (
+                "speedups", "signature_incremental_vs_rebuild",
+            ),
         },
         "qps": {
             "signature_updates_per_s": (

@@ -21,7 +21,12 @@ what that buys, on traffic-shaped single-edge reweights from
   prove the incremental path actually ran.
 * **Signature-family throughput** — the monolith (scalar + columnar
   engines) and the 2-shard index driven through the same
-  ``apply_updates`` entry point.
+  ``apply_updates`` entry point: updates/s, ms per update, and the mean
+  ``touched_nodes`` / ``recompressed_nodes`` of the §5.4 report.  For
+  the monolith, ``signature_incremental_vs_rebuild`` divides the time
+  of a full ``SignatureIndex.build`` on the mutated network by the
+  incremental ms per update — the machine-normalized maintenance ratio
+  ``bench_history`` gates.
 * **Live traffic** — an in-process server (worker pool, so the
   epoch-replay and log-compaction machinery engages) under a mixed
   90/10 read/write closed loop: served write throughput, post-run
@@ -209,22 +214,42 @@ def bench_signature_family(network, dataset) -> dict[str, dict]:
         index = builder()
         build_s = time.perf_counter() - start
         sim = TrafficSimulator(network, seed=SEED + 1)
-        applied = touched = 0
+        applied = touched = recompressed = 0
         start = time.perf_counter()
         for changeset in sim.stream(NUM_UPDATES, 1):
             result = index.apply_updates(changeset)
             applied += result.applied
             touched += result.report.touched_nodes
+            recompressed += result.report.recompressed_nodes
         elapsed = time.perf_counter() - start
+        update_s = elapsed / max(applied, 1)
         rows[name] = {
             "build_s": round(build_s, 3),
             "updates_applied": applied,
             "updates_per_s": round(applied / elapsed, 2),
+            "update_ms": round(update_s * 1e3, 3),
             "mean_touched_nodes": round(touched / max(applied, 1), 1),
+            "mean_recompressed_nodes": round(
+                recompressed / max(applied, 1), 1
+            ),
         }
+        if name == "signature":
+            # Rebuild-on-update: a full build on the mutated network.
+            start = time.perf_counter()
+            for _ in range(NUM_REBUILD_UPDATES):
+                SignatureIndex.build(
+                    index.network.copy(), dataset, keep_trees=True
+                )
+            rebuild_s = (time.perf_counter() - start) / NUM_REBUILD_UPDATES
+            rows[name]["rebuild_update_s"] = round(rebuild_s, 6)
+            rows[name]["incremental_vs_rebuild"] = round(
+                rebuild_s / update_s, 2
+            )
         print(
-            f"{name}: {rows[name]['updates_per_s']:g} updates/s "
-            f"(mean {rows[name]['mean_touched_nodes']:g} touched nodes)"
+            f"{name}: {rows[name]['updates_per_s']:g} updates/s, "
+            f"{rows[name]['update_ms']:g} ms/update (mean "
+            f"{rows[name]['mean_touched_nodes']:g} touched, "
+            f"{rows[name]['mean_recompressed_nodes']:g} recompressed nodes)"
         )
     return rows
 
@@ -307,6 +332,9 @@ def main() -> int:
         f"{name}_incremental_vs_rebuild": row["incremental_vs_rebuild"]
         for name, row in hierarchy.items()
     }
+    speedups["signature_incremental_vs_rebuild"] = (
+        signature["signature"]["incremental_vs_rebuild"]
+    )
     payload = {
         "config": {
             "nodes": network.num_nodes,
@@ -342,9 +370,15 @@ def main() -> int:
         )
     for name, row in signature.items():
         lines.append(
-            f"{name:<10}  {row['updates_per_s']:>8.1f} updates/s "
-            f"(mean {row['mean_touched_nodes']:g} touched nodes)"
+            f"{name:<10}  {row['updates_per_s']:>8.1f} updates/s, "
+            f"{row['update_ms']:g} ms/update (mean "
+            f"{row['mean_touched_nodes']:g} touched, "
+            f"{row['mean_recompressed_nodes']:g} recompressed nodes)"
         )
+    lines.append(
+        f"signature incremental vs rebuild: "
+        f"{speedups['signature_incremental_vs_rebuild']:g}x"
+    )
     lines.append(
         f"serve mixed {int((1 - WRITE_RATIO) * 100)}/"
         f"{int(WRITE_RATIO * 100)}: {serve['throughput_rps']:g} rps, "

@@ -34,6 +34,7 @@ from repro.core.cross_node import CrossNodePlan, plan_cross_node_compression
 from repro.core.persistence import load_index, save_index
 from repro.core.compression import (
     CompressionStats,
+    compress_nodes,
     compress_table,
     resolve_component,
     signature_summation,
@@ -95,6 +96,7 @@ __all__ = [
     "LINK_NONE",
     "CompressionStats",
     "compress_table",
+    "compress_nodes",
     "resolve_component",
     "signature_summation",
     "UpdateReport",

@@ -42,6 +42,7 @@ __all__ = [
     "signature_summation",
     "CompressionStats",
     "compress_table",
+    "compress_nodes",
     "compress_node",
     "resolve_component",
     "resolve_category",
@@ -88,24 +89,10 @@ class CompressionStats:
         return self.compressed_components / self.total_components
 
 
-def _base_ranks_for_node(
-    links: np.ndarray, categories: np.ndarray, num_links: int, sentinel: int
-) -> np.ndarray:
-    """Per-link base object: minimal category, ties to the lowest rank.
-
-    Returns an array indexed by link value; entries with no object get
-    ``-1``.
-    """
-    num_objects = len(links)
-    valid = links >= 0
-    best_cat = np.full(num_links, sentinel + 1, dtype=np.int64)
-    np.minimum.at(best_cat, links[valid], categories[valid].astype(np.int64))
-    best_rank = np.full(num_links, num_objects, dtype=np.int64)
-    is_best = valid & (categories == best_cat[np.clip(links, 0, num_links - 1)])
-    ranks = np.arange(num_objects)
-    np.minimum.at(best_rank, links[is_best], ranks[is_best])
-    best_rank[best_rank == num_objects] = -1
-    return best_rank
+#: Nodes per block of :func:`compress_nodes`.  Bounds the kernel's
+#: ``(block, D)`` temporaries to a few MiB at D in the hundreds while
+#: keeping the per-block numpy call overhead negligible.
+COMPRESS_BLOCK = 512
 
 
 def compress_table(
@@ -125,7 +112,6 @@ def compress_table(
     construction (a component is flagged only when the summation already
     equals its stored value).
     """
-    partition = table.partition
     num_nodes, num_objects = table.categories.shape
     if object_table.num_objects != num_objects:
         raise IndexError_(
@@ -134,83 +120,92 @@ def compress_table(
         )
     if object_category_matrix is None:
         object_category_matrix = _object_category_matrix(object_table)
-
-    sentinel = partition.unreachable
-    last = partition.num_categories - 1
-    num_links = max(table.max_degree, 1)
-    ranks = np.arange(num_objects)
-    compressed_total = 0
-    if table.bases is None or table.bases.shape != table.categories.shape:
-        table.bases = np.full(table.categories.shape, -1, dtype=np.int32)
-
-    for node in range(num_nodes):
-        compressed_total += compress_node(
-            table, object_category_matrix, node, ranks, num_links, sentinel, last
-        )
-
+    compressed_total = compress_nodes(table, object_category_matrix)
     return CompressionStats(
         total_components=num_nodes * num_objects,
         compressed_components=compressed_total,
     )
 
 
-def compress_node(
+def compress_nodes(
     table: SignatureTable,
     object_category_matrix: np.ndarray,
-    node: int,
-    ranks: np.ndarray | None = None,
-    num_links: int | None = None,
-    sentinel: int | None = None,
-    last: int | None = None,
+    nodes: np.ndarray | None = None,
+) -> int:
+    """Recompute the compression flags and bases of ``nodes`` (all if None).
+
+    Algorithm 7 is node-local, so this one kernel serves construction
+    (every node) and §5.4 maintenance (the nodes a write can change).  It
+    runs over blocks of :data:`COMPRESS_BLOCK` nodes; per block, the base
+    of every ``(node, link)`` cell — minimal category, ties to the lowest
+    rank — is one ``np.minimum.at`` over the key ``category * D + rank``,
+    and Definition 5.1 is evaluated for all components at once.  Results
+    are written into ``table.compressed`` and ``table.bases`` in place,
+    so views shared with the columnar store stay valid.  Returns the
+    number of components flagged among ``nodes``.
+    """
+    shape = table.categories.shape
+    if table.bases is None or table.bases.shape != shape:
+        table.bases = np.full(shape, -1, dtype=np.int32)
+    if nodes is None:
+        nodes = np.arange(shape[0])
+    nodes = np.asarray(nodes, dtype=np.intp).reshape(-1)
+    if nodes.size == 0 or shape[1] == 0:
+        return 0
+    flagged = 0
+    for start in range(0, nodes.size, COMPRESS_BLOCK):
+        flagged += _compress_block(
+            table, object_category_matrix, nodes[start:start + COMPRESS_BLOCK]
+        )
+    return flagged
+
+
+def _compress_block(
+    table: SignatureTable, object_category_matrix: np.ndarray, block: np.ndarray
+) -> int:
+    partition = table.partition
+    sentinel = partition.unreachable
+    last = partition.num_categories - 1
+    links = table.links[block].astype(np.int64)
+    cats = table.categories[block].astype(np.int64)
+    rows, num_objects = cats.shape
+    num_links = max(int(links.max()) + 1, 1)
+    ranks = np.arange(num_objects)
+
+    # Per (node, link) cell: the base key min(category * D + rank), which
+    # orders by category and breaks ties by the lower rank.
+    valid = links >= 0
+    cells = np.arange(rows)[:, None] * num_links + np.where(valid, links, 0)
+    keys = cats * num_objects + ranks
+    best = np.full(rows * num_links, (sentinel + 1) * num_objects, dtype=np.int64)
+    np.minimum.at(best, cells[valid], keys[valid])
+    base_key = best[cells]
+    base, base_cat = base_key % num_objects, base_key // num_objects
+
+    # Definition 5.1 against each component's base: flag where the sum of
+    # s(n)[u] and s(u)[v] already equals the stored s(n)[v].
+    s_uv = object_category_matrix[base, ranks]
+    summed = np.where(
+        base_cat != s_uv,
+        np.maximum(base_cat, s_uv),
+        np.minimum(base_cat + 1, last),
+    )
+    summed[(base_cat == sentinel) | (s_uv == sentinel)] = sentinel
+    flags = valid & (base != ranks) & (s_uv >= 0) & (summed == cats)
+    table.compressed[block] = flags
+    table.bases[block] = np.where(flags, base, -1)
+    return int(np.count_nonzero(flags))
+
+
+def compress_node(
+    table: SignatureTable, object_category_matrix: np.ndarray, node: int
 ) -> int:
     """Recompute the compression flags (and bases) of a single node.
 
-    Compression is node-local, so incremental maintenance (§5.4) re-runs
-    this on exactly the nodes whose signature or referenced object pairs
-    changed.  Returns the number of components flagged.
+    A one-node call to :func:`compress_nodes`; returns the number of
+    components flagged.
     """
-    partition = table.partition
-    num_objects = table.categories.shape[1]
-    if ranks is None:
-        ranks = np.arange(num_objects)
-    if num_links is None:
-        num_links = max(table.max_degree, 1)
-    if sentinel is None:
-        sentinel = partition.unreachable
-    if last is None:
-        last = partition.num_categories - 1
-    if table.bases is None:
-        table.bases = np.full(table.categories.shape, -1, dtype=np.int32)
-
-    links = table.links[node]
-    cats = table.categories[node].astype(np.int64)
-    base = _base_ranks_for_node(links, cats, num_links, sentinel)
-    valid = links >= 0
-    u = np.where(valid, base[np.clip(links, 0, num_links - 1)], -1)
-    candidate = valid & (u != ranks) & (u >= 0)
-    flags = np.zeros(num_objects, dtype=bool)
-    bases = np.full(num_objects, -1, dtype=np.int32)
-    if np.any(candidate):
-        u_cand = u[candidate]
-        v_cand = ranks[candidate]
-        s_uv = object_category_matrix[u_cand, v_cand]
-        stored = s_uv >= 0
-        cat_nu = cats[u_cand]
-        # Definition 5.1, vectorized.
-        summed = np.where(
-            cat_nu != s_uv,
-            np.maximum(cat_nu, s_uv),
-            np.minimum(cat_nu + 1, last),
-        )
-        summed = np.where(
-            (cat_nu == sentinel) | (s_uv == sentinel), sentinel, summed
-        )
-        match = stored & (summed == cats[v_cand])
-        flags[v_cand[match]] = True
-        bases[v_cand[match]] = u_cand[match]
-    table.compressed[node] = flags
-    table.bases[node] = bases
-    return int(flags.sum())
+    return compress_nodes(table, object_category_matrix, np.array([node]))
 
 
 def _object_category_matrix(object_table: ObjectDistanceTable) -> np.ndarray:

@@ -273,7 +273,6 @@ class SignatureIndex:
         #: set, both query engines' block reads bypass row decoding.
         self.columnar = None
         self.use_metrics(metrics if metrics is not None else MetricsRegistry())
-        self._signature_dirty_nodes: set[int] = set()
         self._build_storage()
         if query_engine == "columnar":
             self.enable_columnar()
@@ -439,7 +438,6 @@ class SignatureIndex:
                 f"unknown storage schema {self.storage_schema!r}; use "
                 f"'separate' or 'merged'"
             )
-        self._signature_dirty_nodes.clear()
         # Re-packing follows structural change (updates, growth): decoded
         # rows and the object category matrix may both be stale.
         self.decoded.clear()
@@ -992,7 +990,6 @@ class SignatureIndex:
                     np.full((len(self.dataset), 1), NO_PARENT, dtype=np.int32),
                 ]
             )
-        self._signature_dirty_nodes.add(node)
         # The fresh node has no storage record yet; re-pack so that queries
         # touching it can be charged.
         self.refresh_storage()

@@ -409,6 +409,26 @@ class ObjectDistanceTable:
             if was_dropped:
                 self.dropped_pairs -= 1
 
+    def set_row(self, i: int, values: np.ndarray) -> None:
+        """Refresh every pair distance ``(i, j)`` at once (§5.4).
+
+        The vectorized :meth:`set_distance` over a whole row: the same
+        drop rule and the same ``dropped_pairs`` bookkeeping, with the
+        diagonal entry left untouched.
+        """
+        row = np.array(values, dtype=float)
+        if row.shape != (self.num_objects,):
+            raise IndexError_(
+                f"row of {row.shape} values for {self.num_objects} objects"
+            )
+        if self._drop_last_category:
+            last_lb = self.partition.lower_bound(self.partition.num_categories - 1)
+            row[np.isfinite(row) & (row >= last_lb)] = math.nan
+        current = self._matrix[i]
+        row[i] = current[i]
+        self.dropped_pairs += int(np.isnan(row).sum() - np.isnan(current).sum())
+        current[:] = row
+
     def category_matrix(self) -> np.ndarray:
         """``(D, D)`` categorical distances (vectorized :meth:`category`).
 

@@ -138,22 +138,35 @@ class ObjectSpanningTrees:
         """All descendants of ``root`` (inclusive) in tree ``rank``.
 
         This is the region §5.4.2 invalidates when an edge on the tree is
-        removed or grows heavier.
+        removed or grows heavier.  The child lists are a CSR built from
+        ``parents`` by one argsort; the traversal expands a whole
+        frontier (one tree level) per step.  Nodes come out level by
+        level, ``root`` first.
         """
-        # One pass over the child lists beats repeated flatnonzero scans.
-        child_map: dict[int, list[int]] = {}
         parents = self.parents[rank]
-        for node in range(self.num_nodes):
-            parent = int(parents[node])
-            if parent != NO_PARENT:
-                child_map.setdefault(parent, []).append(node)
-        result = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            result.append(node)
-            stack.extend(child_map.get(node, ()))
-        return result
+        order = np.argsort(parents)
+        # Children of node p are order[starts[p]:starts[p + 1]]; the
+        # NO_PARENT entries sort first and are skipped by the offset.
+        counts = np.bincount(
+            parents[parents != NO_PARENT], minlength=self.num_nodes
+        )
+        starts = np.empty(self.num_nodes + 1, dtype=np.int64)
+        starts[0] = np.count_nonzero(parents == NO_PARENT)
+        np.cumsum(counts, out=starts[1:])
+        starts[1:] += starts[0]
+        levels = [np.array([root], dtype=np.int64)]
+        frontier = levels[0]
+        while frontier.size:
+            first = starts[frontier]
+            sizes = starts[frontier + 1] - first
+            total = int(sizes.sum())
+            if not total:
+                break
+            # Concatenated ranges first[i] .. first[i] + sizes[i].
+            offsets = np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+            frontier = order[offsets + np.arange(total)]
+            levels.append(frontier)
+        return np.concatenate(levels).tolist()
 
     def iter_tree_edges(self, rank: int) -> Iterator[tuple[int, int]]:
         """All ``(node, parent)`` pairs of tree ``rank``."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.compression import compress_node
+from repro.core.compression import compress_nodes
 from repro.core.signature import LINK_HERE, LINK_NONE
 from repro.core.spanning_tree import NO_PARENT
 from repro.errors import UpdateError
@@ -96,11 +96,14 @@ def _link_for(index, node: int, rank: int) -> int:
     return index.network.neighbor_position(node, parent)
 
 
-def _refresh_components(index, changes: dict[int, set[int]]) -> UpdateReport:
+def _refresh_components(
+    index, changes: dict[int, set[int]]
+) -> tuple[UpdateReport, set[int]]:
     """Push tree changes into the signature arrays; report the deltas.
 
     ``changes`` maps object rank → nodes whose distance/parent in that
-    object's tree may have changed.
+    object's tree may have changed.  Also returns the touched nodes: those
+    with at least one changed component.
     """
     report = UpdateReport()
     table = index.table
@@ -127,29 +130,37 @@ def _refresh_components(index, changes: dict[int, set[int]]) -> UpdateReport:
                     touched_nodes.add(node)
         span.set("changed_components", report.changed_components)
     report.touched_nodes = len(touched_nodes)
-    index._signature_dirty_nodes |= touched_nodes
     # Changed categories/links make any memoized decoded rows stale.
     index.invalidate_decoded(touched_nodes)
-    return report
+    return report, touched_nodes
 
 
 def _finite_or_inf(value: float) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-def _refresh_object_table(index, affected_ranks: set[int]) -> None:
-    """Refresh object-to-object distances for the affected trees."""
+#: No object pair changed category.
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+
+
+def _refresh_object_table(index, affected_ranks: set[int]) -> np.ndarray:
+    """Refresh object-to-object distances for the affected trees.
+
+    Returns the ``(k, 2)`` object pairs ``(a, b)``, ``a < b``, whose
+    Definition 5.1 category ``s(a)[b]`` or ``s(b)[a]`` changed.
+    """
     if not affected_ranks:
-        return
-    trees = index.trees
-    object_nodes = list(index.dataset)
-    for rank in affected_ranks:
-        row = trees.distances[rank, object_nodes]
-        for other, value in enumerate(row):
-            index.object_table.set_distance(rank, other, float(value))
+        return _NO_PAIRS
+    object_table = index.object_table
+    object_nodes = np.asarray(list(index.dataset))
+    before = object_table.category_matrix()
+    for rank in sorted(affected_ranks):
+        object_table.set_row(rank, index.trees.distances[rank, object_nodes])
+    changed = np.argwhere(before != object_table.category_matrix())
     # Compressed components decode through the object category matrix, so
     # every memoized decoded row is suspect once pair distances move.
     index.invalidate_decoded(objects=True)
+    return np.unique(np.sort(changed, axis=1), axis=0)
 
 
 def _decrease_wave(
@@ -245,34 +256,50 @@ def _reresolve_links_at(index, node: int) -> set[int]:
     return changed
 
 
-def _recompress(index, report: UpdateReport, touched_nodes: set[int],
-                affected_ranks: set[int]) -> None:
-    """Recompute compression flags wherever the update could invalidate them.
+#: Changed object pairs tested per step of :func:`_pair_suspects`; bounds
+#: its ``(N, block)`` temporaries.
+PAIR_BLOCK = 64
 
-    A node needs recompression when its own signature changed, or when a
-    flagged component targets an affected object, or when a flagged
-    component's *base* is an affected object (the Definition 5.1 summand
-    ``s(u)[v]`` came from a changed object pair).
+
+def _pair_suspects(links: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Nodes where some changed pair ``(a, b)`` shares a backtracking link.
+
+    Only there can ``s(a)[b]`` enter Definition 5.1: a flag on ``b`` is
+    summed from the base ``a`` of its link, so ``a`` and ``b`` must share
+    that link (``links[:, a] == links[:, b] >= 0``).
+    """
+    hit = np.zeros(links.shape[0], dtype=bool)
+    for start in range(0, len(pairs), PAIR_BLOCK):
+        block = pairs[start:start + PAIR_BLOCK]
+        link_a = links[:, block[:, 0]]
+        hit |= ((link_a == links[:, block[:, 1]]) & (link_a >= 0)).any(axis=1)
+    return np.flatnonzero(hit)
+
+
+def _recompress(index, report: UpdateReport, touched_nodes: set[int],
+                changed_pairs: np.ndarray) -> None:
+    """Recompute compression flags exactly where the update can change them.
+
+    A node's flags and bases are a function of its own signature row and
+    of the object-pair categories ``s(u)[v]`` its links pair up, so the
+    suspects are the touched nodes (a changed category or link) plus the
+    nodes where a pair whose category changed shares a link.  A write that
+    moves no object-pair category recompresses exactly its touched nodes —
+    §5.4's "only the changes ... are updated in the signature".
     """
     table = index.table
     if table.bases is None:
         # Never compressed: nothing to maintain.
         return
-    suspects = set(touched_nodes)
-    if affected_ranks:
-        ranks = np.fromiter(affected_ranks, dtype=np.int64)
-        flagged_target = table.compressed[:, ranks].any(axis=1)
-        flagged_base = (
-            table.compressed & np.isin(table.bases, ranks)
-        ).any(axis=1)
-        suspects |= set(np.flatnonzero(flagged_target | flagged_base).tolist())
-    if not suspects:
+    suspects = np.union1d(
+        np.fromiter(touched_nodes, dtype=np.int64, count=len(touched_nodes)),
+        _pair_suspects(table.links, changed_pairs),
+    )
+    if not suspects.size:
         return
-    with span_of(index, "recompress", nodes=len(suspects)):
-        category_matrix = index.object_table.category_matrix()
-        for node in suspects:
-            compress_node(table, category_matrix, node)
-    report.recompressed_nodes = len(suspects)
+    with span_of(index, "recompress", nodes=int(suspects.size)):
+        compress_nodes(table, index.object_table.category_matrix(), suspects)
+    report.recompressed_nodes = int(suspects.size)
 
 
 # ----------------------------------------------------------------------
@@ -299,13 +326,10 @@ def _apply_decrease(index, u: int, v: int, weight: float) -> UpdateReport:
             seeds.append((dv + weight, u, v))
         if seeds:
             changes[rank] = _decrease_wave(index, rank, seeds)
-    report = _refresh_components(index, changes)
+    report, touched = _refresh_components(index, changes)
     affected = {rank for rank, nodes in changes.items() if nodes}
-    _refresh_object_table(index, affected)
-    touched = set()
-    for nodes in changes.values():
-        touched |= nodes
-    _recompress(index, report, touched, affected)
+    changed_pairs = _refresh_object_table(index, affected)
+    _recompress(index, report, touched, changed_pairs)
     return report
 
 
@@ -323,22 +347,17 @@ def remove_edge(index, u: int, v: int) -> UpdateReport:
     changes: dict[int, set[int]] = {}
     for rank in affected_trees:
         changes[rank] = _recompute_subtree(index, rank, (u, v))
-    report = _refresh_components(index, changes)
+    report, touched = _refresh_components(index, changes)
     # Adjacency positions at the endpoints shifted: every link stored
     # there must be re-derived, for all objects.
-    relinked_nodes = set()
     for endpoint in (u, v):
         relinked = _reresolve_links_at(index, endpoint)
         if relinked:
-            relinked_nodes.add(endpoint)
+            touched.add(endpoint)
             report.changed_components += len(relinked)
     affected = {rank for rank, nodes in changes.items() if nodes}
-    _refresh_object_table(index, affected)
-    touched = relinked_nodes | {
-        node for nodes in changes.values() for node in nodes
-    }
-    index._signature_dirty_nodes |= relinked_nodes
-    _recompress(index, report, touched, affected)
+    changed_pairs = _refresh_object_table(index, affected)
+    _recompress(index, report, touched, changed_pairs)
     index.table.max_degree = max(1, index.network.max_degree())
     return report
 
@@ -358,11 +377,10 @@ def set_edge_weight(index, u: int, v: int, weight: float) -> UpdateReport:
     changes: dict[int, set[int]] = {}
     for rank in affected_trees:
         changes[rank] = _recompute_subtree(index, rank, (u, v))
-    report = _refresh_components(index, changes)
+    report, touched = _refresh_components(index, changes)
     affected = {rank for rank, nodes in changes.items() if nodes}
-    _refresh_object_table(index, affected)
-    touched = {node for nodes in changes.values() for node in nodes}
-    _recompress(index, report, touched, affected)
+    changed_pairs = _refresh_object_table(index, affected)
+    _recompress(index, report, touched, changed_pairs)
     return report
 
 
@@ -385,8 +403,9 @@ def add_node(index, x: float, y: float,
     # distances were produced by the decrease waves above, which treat the
     # fresh row's inf distances as improvable).
     refresh = {rank: {node} for rank in range(len(index.dataset))}
-    report.merge(_refresh_components(index, refresh))
-    _recompress(index, report, {node}, set())
+    node_report, touched = _refresh_components(index, refresh)
+    _recompress(index, node_report, touched | {node}, _NO_PAIRS)
+    report.merge(node_report)
     return node, report
 
 
@@ -400,7 +419,7 @@ def add_object(index, node: int) -> UpdateReport:
     compression flags are then recomputed (the new component can displace
     per-link bases anywhere).
     """
-    from repro.core.builder import categorize_array
+    from repro.core.builder import _links_from_parents, categorize_array
     from repro.network.datasets import ObjectDataset
     from repro.network.dijkstra import shortest_path_tree
 
@@ -413,13 +432,9 @@ def add_object(index, node: int) -> UpdateReport:
     new_dataset = ObjectDataset([*index.dataset, node])
     table = index.table
     categories = categorize_array(index.partition, distances)[:, None]
-    links = np.full((table.num_nodes, 1), LINK_NONE, dtype=table.links.dtype)
-    for v in range(table.num_nodes):
-        parent = int(parents[v])
-        if v == node:
-            links[v, 0] = LINK_HERE
-        elif parent != NO_PARENT:
-            links[v, 0] = index.network.neighbor_position(v, parent)
+    links = _links_from_parents(
+        index.network, ObjectDataset([node]), distances[None], parents[None]
+    ).astype(table.links.dtype)
     table.categories = np.hstack(
         [table.categories, categories.astype(table.categories.dtype)]
     )
@@ -491,9 +506,7 @@ def _recompress_all(index, report: UpdateReport) -> None:
     if table.bases is None and not table.compressed.any():
         # Index was built without compression: keep it that way.
         return
-    category_matrix = index.object_table.category_matrix()
-    for node in range(table.num_nodes):
-        compress_node(table, category_matrix, node)
+    compress_nodes(table, index.object_table.category_matrix())
     report.recompressed_nodes = table.num_nodes
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.categories import CategoryPartition, ExponentialPartition
+from repro.core import compression
 from repro.core.compression import (
     compress_node,
+    compress_nodes,
     compress_table,
     resolve_category,
     resolve_component,
@@ -165,3 +167,103 @@ class TestCompressNode:
                     resolve_category(table, object_table, node, rank)
                     == int(table.categories[node, rank])
                 )
+
+
+def _reference_flags(table, object_table, node):
+    """Algorithm 7 for one node, component by component (test oracle).
+
+    Per link, the base is the minimal-category object, ties to the lowest
+    rank; every other object on the link is flagged when the Definition
+    5.1 sum against its base equals its stored category.
+    """
+    links = table.links[node]
+    cats = table.categories[node]
+    bases: dict[int, int] = {}
+    for rank in range(table.num_objects):
+        link = int(links[rank])
+        if link < 0:
+            continue
+        best = bases.get(link)
+        if best is None or int(cats[rank]) < int(cats[best]):
+            bases[link] = rank
+    flags = np.zeros(table.num_objects, dtype=bool)
+    base_of = np.full(table.num_objects, -1, dtype=np.int32)
+    for rank in range(table.num_objects):
+        link = int(links[rank])
+        if link < 0 or bases[link] == rank:
+            continue
+        base = bases[link]
+        summed = signature_summation(
+            table.partition, int(cats[base]), object_table.category(base, rank)
+        )
+        if summed == int(cats[rank]):
+            flags[rank] = True
+            base_of[rank] = base
+    return flags, base_of
+
+
+def _uncompressed_copy(table):
+    return SignatureTable(
+        table.partition,
+        table.categories.copy(),
+        table.links.copy(),
+        max_degree=table.max_degree,
+    )
+
+
+def _assert_matches_reference(table, object_table):
+    for node in range(table.num_nodes):
+        flags, bases = _reference_flags(table, object_table, node)
+        np.testing.assert_array_equal(table.compressed[node], flags)
+        np.testing.assert_array_equal(table.bases[node], bases)
+
+
+class TestBlockKernel:
+    """``compress_nodes`` runs Algorithm 7 over node blocks; it must agree
+    with the per-node definition on every node, whatever the blocking."""
+
+    def test_every_node_of_a_built_index(self, sig_index):
+        _assert_matches_reference(sig_index.table, sig_index.object_table)
+
+    def test_every_node_of_a_shard(self, small_net, small_objs):
+        from repro.shard import ShardedSignatureIndex
+
+        sharded = ShardedSignatureIndex.build(
+            small_net.copy(), small_objs, num_shards=3, backend="scipy"
+        )
+        for shard in sharded.shards:
+            if shard.index is not None:
+                _assert_matches_reference(
+                    shard.index.table, shard.index.object_table
+                )
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_does_not_change_flags(
+        self, built, block, monkeypatch
+    ):
+        table, object_table, stats = built
+        fresh = _uncompressed_copy(table)
+        monkeypatch.setattr(compression, "COMPRESS_BLOCK", block)
+        flagged = compress_nodes(fresh, object_table.category_matrix())
+        assert flagged == stats.compressed_components
+        np.testing.assert_array_equal(fresh.compressed, table.compressed)
+        np.testing.assert_array_equal(fresh.bases, table.bases)
+
+    def test_node_subset_leaves_other_nodes_alone(self, built):
+        table, object_table, _ = built
+        fresh = _uncompressed_copy(table)
+        nodes = np.array([13, 2, 250, 77])
+        compress_nodes(fresh, object_table.category_matrix(), nodes)
+        np.testing.assert_array_equal(
+            fresh.compressed[nodes], table.compressed[nodes]
+        )
+        np.testing.assert_array_equal(fresh.bases[nodes], table.bases[nodes])
+        others = np.setdiff1d(np.arange(table.num_nodes), nodes)
+        assert not fresh.compressed[others].any()
+        assert (fresh.bases[others] == -1).all()
+
+    def test_writes_in_place(self, built):
+        table, object_table, _ = built
+        flags, bases = table.compressed, table.bases
+        compress_nodes(table, object_table.category_matrix())
+        assert table.compressed is flags and table.bases is bases

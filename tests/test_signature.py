@@ -226,6 +226,32 @@ class TestObjectDistanceTable:
         table.set_distance(0, 1, 1.0)  # back in range
         assert table.distance(0, 1) == 1.0
 
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_set_row_equals_set_distance_per_pair(self, partition, drop):
+        """One vectorized row write == D scalar writes, drops included."""
+        matrix = np.array(
+            [[0.0, 3.0, 9.0, math.inf],
+             [3.0, 0.0, 5.0, 1.0],
+             [9.0, 5.0, 0.0, 2.0],
+             [math.inf, 1.0, 2.0, 0.0]]
+        )
+        row = np.array([7.0, 12.0, 0.5, math.inf])
+        scalar = ObjectDistanceTable(matrix, partition, drop_last_category=drop)
+        vector = ObjectDistanceTable(matrix, partition, drop_last_category=drop)
+        for other, value in enumerate(row):
+            scalar.set_distance(2, other, float(value))
+        vector.set_row(2, row)
+        np.testing.assert_array_equal(
+            vector.matrix_view(), scalar.matrix_view()
+        )
+        assert vector.dropped_pairs == scalar.dropped_pairs
+        assert vector.distance(2, 2) == 0.0
+
+    def test_set_row_rejects_wrong_length(self, partition):
+        table = ObjectDistanceTable(np.zeros((3, 3)), partition)
+        with pytest.raises(IndexError_):
+            table.set_row(0, np.zeros(2))
+
     def test_set_distance_diagonal_immutable(self, partition):
         table = ObjectDistanceTable(np.zeros((2, 2)), partition)
         table.set_distance(0, 0, 99.0)
