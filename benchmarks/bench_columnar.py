@@ -1,14 +1,10 @@
-"""The columnar store's three performance claims, measured.
+"""The columnar store's two performance claims, measured.
 
 * **cold start** — loading a persisted index: v1 replays the §5.2 bit
   stream component by component and runs one Dijkstra per object to
   rebuild the object distance table; v2 is ``np.memmap`` on raw arrays.
   The claim: ≥ 5× faster (in practice orders of magnitude — the work is
   O(1) in index size).
-* **batch throughput** — the columnar engine reads query blocks with one
-  fancy index, no row decode and no cache; the claim: it at least
-  matches the PR-1 engine's *warm decoded-cache* path while holding no
-  cache at all (and beats the cold no-cache path outright).
 * **served throughput** — ``repro serve --workers 2`` executes coalesced
   batches in worker processes that mmap one snapshot.  On a multi-core
   box the claim is workers-2 > workers-1; on a single core the fork can
@@ -37,7 +33,6 @@ if QUICK:
     os.environ.setdefault("REPRO_BENCH_SERVE_NODES", "1200")
     os.environ.setdefault("REPRO_BENCH_COLUMNAR_CLIENTS", "16")
     os.environ.setdefault("REPRO_BENCH_COLUMNAR_DURATION", "1.5")
-    os.environ.setdefault("REPRO_BENCH_COLUMNAR_SWEEP_S", "0.5")
 
 _REPO_ROOT_PATH = Path(__file__).resolve().parent.parent
 _REPO_ROOT = str(_REPO_ROOT_PATH)
@@ -62,10 +57,10 @@ JSON_PATH = _REPO_ROOT_PATH / "BENCH_columnar.json"
 NODES = int(os.environ.get("REPRO_BENCH_COLUMNAR_NODES", "6000"))
 CLIENTS = int(os.environ.get("REPRO_BENCH_COLUMNAR_CLIENTS", "64"))
 DURATION_S = float(os.environ.get("REPRO_BENCH_COLUMNAR_DURATION", "3.0"))
-SWEEP_S = float(os.environ.get("REPRO_BENCH_COLUMNAR_SWEEP_S", "1.5"))
 DENSITY = 0.01
 SEED = 1959
-BATCH = 256
+#: Each figure below comes from one run per configuration.
+REPEATS = 1
 
 MIN_COLD_START_SPEEDUP = 2.0 if QUICK else 5.0
 
@@ -110,47 +105,6 @@ def _bench_cold_start(index, workdir: Path) -> dict:
 
 
 # ----------------------------------------------------------------------
-# batch throughput: decode vs cache vs columnar
-# ----------------------------------------------------------------------
-def _sweep_qps(index, nodes, radius: float) -> float:
-    """Warm once, then count full-batch sweeps for ``SWEEP_S`` seconds."""
-    index.range_query_batch(nodes, radius)
-    deadline = time.perf_counter() + SWEEP_S
-    queries = 0
-    while time.perf_counter() < deadline:
-        index.range_query_batch(nodes, radius)
-        queries += len(nodes)
-    elapsed = time.perf_counter() - deadline + SWEEP_S
-    return queries / max(elapsed, 1e-9)
-
-
-def _bench_batch_throughput(index) -> dict:
-    rng_nodes = list(range(0, index.network.num_nodes, 3))[:BATCH]
-    radius = 0.9 * index.partition.boundaries[0]
-
-    index.disable_decoded_cache()
-    nocache_qps = _sweep_qps(index, rng_nodes, radius)
-
-    index.enable_decoded_cache(None)
-    cache_qps = _sweep_qps(index, rng_nodes, radius)
-    index.disable_decoded_cache()
-
-    index.enable_columnar()
-    columnar_qps = _sweep_qps(index, rng_nodes, radius)
-    index.disable_columnar()
-
-    return {
-        "batch": len(rng_nodes),
-        "radius": round(radius, 3),
-        "vectorized_nocache_qps": round(nocache_qps, 1),
-        "decoded_cache_qps": round(cache_qps, 1),
-        "columnar_qps": round(columnar_qps, 1),
-        "columnar_vs_nocache": round(columnar_qps / max(nocache_qps, 1e-9), 2),
-        "columnar_vs_cache": round(columnar_qps / max(cache_qps, 1e-9), 2),
-    }
-
-
-# ----------------------------------------------------------------------
 # served throughput: workers 1 vs 2
 # ----------------------------------------------------------------------
 async def _bench_served() -> dict:
@@ -183,14 +137,10 @@ async def _bench_served() -> dict:
 
 def _summary_line(payload: dict) -> str:
     cold = payload["cold_start"]
-    batch = payload["batch_throughput"]
     served = payload["served"]
     return (
         f"columnar: mmap load {cold['speedup']:.0f}x faster than v1 "
         f"({cold['v1_load_s']:.2f}s -> {cold['v2_load_s']*1000:.1f}ms); "
-        f"batch {batch['columnar_qps']:.0f} q/s = "
-        f"{batch['columnar_vs_cache']:.2f}x warm decoded-cache, "
-        f"{batch['columnar_vs_nocache']:.2f}x no-cache; "
         f"served workers2 {served['workers2_rps']:.0f} rps vs "
         f"workers1 {served['workers1_rps']:.0f} rps "
         f"({served['cpu_count']} cpus)"
@@ -201,7 +151,6 @@ def test_columnar_store():
     index = _build_index()
     with tempfile.TemporaryDirectory(prefix="bench-columnar-") as workdir:
         cold = _bench_cold_start(index, Path(workdir))
-    batch = _bench_batch_throughput(index)
     served = asyncio.run(_bench_served())
 
     payload = {
@@ -211,11 +160,11 @@ def test_columnar_store():
             "seed": SEED,
             "clients": CLIENTS,
             "duration_s": DURATION_S,
-            "sweep_s": SWEEP_S,
             "quick": QUICK,
+            "cpus": os.cpu_count(),
+            "repeats": REPEATS,
         },
         "cold_start": cold,
-        "batch_throughput": batch,
         "served": served,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -229,8 +178,6 @@ def test_columnar_store():
 
     # The tentpole claims.
     assert cold["speedup"] >= MIN_COLD_START_SPEEDUP, cold
-    assert batch["columnar_vs_nocache"] > 1.0, batch
-    assert batch["columnar_vs_cache"] >= (0.8 if QUICK else 1.0), batch
     # Multi-process parallelism needs multiple cores to show up; on one
     # core the fork is pure overhead, so only record the numbers there.
     if (os.cpu_count() or 1) >= 2 and not QUICK:

@@ -109,10 +109,6 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
     "columnar": {
         "ratio": {
             "cold_start_speedup": ("cold_start", "speedup"),
-            "columnar_vs_nocache": ("batch_throughput", "columnar_vs_nocache"),
-        },
-        "qps": {
-            "columnar_qps": ("batch_throughput", "columnar_qps"),
         },
     },
     "shard": {

@@ -4,13 +4,13 @@ Not a paper figure — the perf trajectory of the serving north star.  One
 workload of range / kNN / ε-join queries runs twice over the same
 network, dataset, partition, and signature tables: once through the
 scalar §4 implementation (:mod:`repro.core.queries`), once through the
-vectorized batch engine (:mod:`repro.core.vectorized`, decoded-signature
-cache enabled).  Both engines charge the pager identically, so the
-comparison isolates CPU-side query processing; the bench asserts the
+vectorized batch engine (:mod:`repro.core.vectorized`).  Both engines
+charge the pager identically, so the comparison isolates CPU-side query
+processing; the bench asserts the
 result sets match before it reports a single number.
 
 Also times the §5.2 construction sweep per backend (``python``,
-``python-parallel``, ``scipy``).
+``scipy``).
 
 Beyond the human-readable table, writes machine-readable
 ``BENCH_throughput.json`` at the repo root to seed the perf trajectory.
@@ -81,7 +81,6 @@ def engines(query_suite):
     vec = SignatureIndex.build(
         network, dataset, backend="scipy", query_engine="vectorized"
     )
-    vec.enable_decoded_cache()
     scalar = SignatureIndex(
         network,
         dataset,
@@ -113,8 +112,8 @@ def _measure_pair(scalar, vec, nodes, radius, epsilon):
     """All three workloads through both engines; verifies result equality.
 
     Each workload runs once un-timed first so the timed pass measures
-    steady state — in particular the vectorized engine's decoded-row
-    cache is populated, mirroring a serving process that has seen the
+    steady state (lazy set-up such as the memoized category-bound
+    arrays is done), mirroring a serving process that has seen the
     working set before.
     """
     results = {}
@@ -247,12 +246,9 @@ def _construction_times(query_suite) -> dict[str, float]:
     network = query_suite.network
     dataset = query_suite.datasets[DENSITY_LABEL]
     times = {}
-    for backend in ("python", "python-parallel", "scipy"):
-        kwargs = {"workers": 2} if backend == "python-parallel" else {}
+    for backend in ("python", "scipy"):
         with Stopwatch() as watch:
-            run_construction_sweep(
-                network, dataset, backend=backend, **kwargs
-            )
+            run_construction_sweep(network, dataset, backend=backend)
         times[backend] = watch.seconds
     return times
 
@@ -266,6 +262,8 @@ def _write_json(results, construction, num_objects, breakdown, overhead):
             "num_queries": NUM_QUERIES,
             "knn_k": KNN_K,
             "quick": QUICK,
+            "cpus": os.cpu_count(),
+            "repeats": 1,
         },
         "queries": {},
         "construction_seconds": construction,

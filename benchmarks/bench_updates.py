@@ -19,14 +19,14 @@ what that buys, on traffic-shaped single-edge reweights from
   direction-only in ``--quick``), with the
   ``backend.<name>.update.{repaired,rebuilt}`` counters recorded to
   prove the incremental path actually ran.
-* **Signature-family throughput** — the monolith (scalar + columnar
-  engines) and the 2-shard index driven through the same
-  ``apply_updates`` entry point: updates/s, ms per update, and the mean
-  ``touched_nodes`` / ``recompressed_nodes`` of the §5.4 report.  For
-  the monolith, ``signature_incremental_vs_rebuild`` divides the time
-  of a full ``SignatureIndex.build`` on the mutated network by the
-  incremental ms per update — the machine-normalized maintenance ratio
-  ``bench_history`` gates.
+* **Signature-family throughput** — the monolith and the 2-shard index
+  driven through the same ``apply_updates`` entry point: updates/s, ms
+  per update, and the mean ``touched_nodes`` / ``recompressed_nodes`` of
+  the §5.4 report.  For the monolith,
+  ``signature_incremental_vs_rebuild`` divides the time of a full
+  ``SignatureIndex.build`` on the mutated network by the incremental ms
+  per update — the machine-normalized maintenance ratio ``bench_history``
+  gates.
 * **Live traffic** — an in-process server (worker pool, so the
   epoch-replay and log-compaction machinery engages) under a mixed
   90/10 read/write closed loop: served write throughput, post-run
@@ -199,12 +199,6 @@ def bench_signature_family(network, dataset) -> dict[str, dict]:
         "signature": lambda: SignatureIndex.build(
             network.copy(), dataset, keep_trees=True
         ),
-        "columnar": lambda: SignatureIndex.build(
-            network.copy(),
-            dataset,
-            keep_trees=True,
-            query_engine="columnar",
-        ),
         "sharded": lambda: ShardedSignatureIndex.build(
             network.copy(), dataset, num_shards=2
         ),
@@ -346,6 +340,8 @@ def main() -> int:
             "correctness_steps": CORRECTNESS_STEPS,
             "seed": SEED,
             "quick": QUICK,
+            "cpus": os.cpu_count(),
+            "repeats": 1,
         },
         "hierarchy": hierarchy,
         "signature_family": signature,

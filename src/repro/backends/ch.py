@@ -30,12 +30,8 @@ contraction evenly).  Each round selects every live node that is the
 strict minimum of ``priority`` (ties broken by node id) over its closed
 two-hop neighborhood — a set whose members provably have pairwise
 disjoint closed neighborhoods, so their witness searches read the same
-frozen round-start graph and their contractions commute.  That is what
-makes the build parallel: witness searches fan out over a fork pool
-(:mod:`repro.backends.parallel`), results merge in ascending priority
-order, and the shortcut set, node order, and every output array are
-bit-identical for any worker count — ``workers=1`` runs the identical
-round algorithm inline.
+frozen round-start graph and their contractions commute; the set is
+contracted in ascending priority order.
 
 Everything is exact: witness searches are *bounded* (settle cap) which
 may only insert redundant shortcuts, never miss a needed one, and
@@ -55,7 +51,6 @@ from repro.backends.base import (
     HierarchyIndexBase,
     pairwise_label_distances,
 )
-from repro.backends.parallel import FanoutRunner
 from repro.core.signature import ObjectDistanceTable
 from repro.core.update import UpdateReport
 from repro.network.graph import RoadNetwork
@@ -165,9 +160,9 @@ def _shortcuts_for(
     return needed, len(neighbors)
 
 
-def _shortcut_chunk(state, nodes):
-    """Fan-out work function: witness searches for a chunk of nodes."""
-    adj, contracted, settle_cap, record = state
+def _shortcuts_of(adj, contracted, settle_cap, record, nodes):
+    """Witness searches for ``nodes``, one
+    ``(v, shortcuts, live_degree, visited)`` tuple per node."""
     out = []
     for v in nodes:
         v = int(v)
@@ -328,9 +323,7 @@ class ContractionHierarchy:
         # Build provenance; overwritten by build(), defaults for
         # hierarchies restored from disk.
         self.settle_cap = WITNESS_SETTLE_CAP
-        self.build_workers = 1
         self.rounds: int | None = None
-        self.parallel_efficiency: float | None = None
         #: Witness-dependency recording (``build(record_repair=True)``);
         #: ``None`` for plain builds and hierarchies restored from disk —
         #: :meth:`repair` then declines and the caller must rebuild.
@@ -352,8 +345,6 @@ class ContractionHierarchy:
         network: RoadNetwork,
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
-        workers: int = 1,
-        parallel_threshold: int | None = None,
         record_repair: bool = False,
         metrics=None,
     ) -> "ContractionHierarchy":
@@ -368,8 +359,7 @@ class ContractionHierarchy:
         through since-contracted nodes), and (4) contracts the whole set
         in ascending priority order.  Selected nodes have pairwise
         disjoint closed neighborhoods, so steps (1) and (3) read a
-        frozen snapshot and fan out across ``workers`` fork processes
-        with bit-identical results for any worker count.
+        frozen round-start snapshot.
 
         Witness searches are bounded by ``settle_cap``.  Parallel edges
         (possible when a shortcut doubles an original edge) keep the
@@ -383,14 +373,6 @@ class ContractionHierarchy:
         (and the build-time benchmarks) should not pay.
         """
         registry = metrics if metrics is not None else NULL_REGISTRY
-        workers = max(1, int(workers))
-        runner = FanoutRunner(
-            workers,
-            parallel_threshold,
-            fallback_counter=registry.counter(
-                "backend.ch.contract.serial_fallback"
-            ),
-        )
         round_sizes = registry.histogram("backend.ch.contract.round_size")
 
         n = network.num_nodes
@@ -429,9 +411,8 @@ class ContractionHierarchy:
             # Phase A: refresh candidates for nodes whose neighborhood
             # changed since their last evaluation.
             evaluate = np.flatnonzero(dirty & ~contracted)
-            state = (adj, contracted, settle_cap, record_repair)
-            for v, shortcuts, live_degree, visited in runner.run(
-                _shortcut_chunk, state, evaluate.tolist()
+            for v, shortcuts, live_degree, visited in _shortcuts_of(
+                adj, contracted, settle_cap, record_repair, evaluate.tolist()
             ):
                 cached[v] = shortcuts
                 if record_repair:
@@ -467,8 +448,8 @@ class ContractionHierarchy:
             # contracted since, whose replacement path uses v itself.
             stale = [int(v) for v in sel if stamp[v] != rounds]
             if stale:
-                for v, shortcuts, _, visited in runner.run(
-                    _shortcut_chunk, state, stale
+                for v, shortcuts, _, visited in _shortcuts_of(
+                    adj, contracted, settle_cap, record_repair, stale
                 ):
                     cached[v] = shortcuts
                     if record_repair:
@@ -530,15 +511,10 @@ class ContractionHierarchy:
             order, indptr, targets, weights, num_shortcuts, metrics=metrics
         )
         hierarchy.settle_cap = int(settle_cap)
-        hierarchy.build_workers = workers
         hierarchy.rounds = rounds
-        hierarchy.parallel_efficiency = runner.efficiency()
         if record_repair:
             hierarchy.repair_state = RepairState(cached, visited_sets)
         registry.gauge("backend.ch.contract.rounds").set(rounds)
-        registry.gauge("backend.ch.contract.parallel_efficiency").set(
-            hierarchy.parallel_efficiency
-        )
         return hierarchy
 
     # ------------------------------------------------------------------
@@ -927,13 +903,11 @@ class CHIndex(HierarchyIndexBase):
         buckets,
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
-        build_workers: int = 1,
         object_entries=None,
         metrics=None,
     ) -> None:
         self.hierarchy = hierarchy
         self.settle_cap = int(settle_cap)
-        self.build_workers = max(1, int(build_workers))
         # Per-object search spaces, aligned with dataset rank — kept so
         # incremental repair recomputes only the affected objects'
         # bucket entries.  ``None`` for indexes restored from disk (the
@@ -951,17 +925,13 @@ class CHIndex(HierarchyIndexBase):
         dataset,
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
-        workers: int = 1,
-        parallel_threshold: int | None = None,
         record_repair: bool = False,
         metrics=None,
     ) -> "CHIndex":
         """Contract the network, then bucket the object search spaces.
 
-        ``workers`` parallelizes the contraction's witness searches
-        (bit-identical output for any count); ``settle_cap`` bounds each
-        witness search.  Both are persisted with the index and reused on
-        §5.4 rebuilds.
+        ``settle_cap`` bounds each witness search; it is persisted with
+        the index and reused on §5.4 rebuilds.
 
         The build trace (``index.build_trace``) carries one span per
         phase — ``build.contract``, ``build.buckets``,
@@ -975,8 +945,6 @@ class CHIndex(HierarchyIndexBase):
                 hierarchy = ContractionHierarchy.build(
                     network,
                     settle_cap=settle_cap,
-                    workers=workers,
-                    parallel_threshold=parallel_threshold,
                     record_repair=record_repair,
                     metrics=metrics,
                 )
@@ -996,8 +964,7 @@ class CHIndex(HierarchyIndexBase):
                 )
         index = cls(
             network, dataset, hierarchy, partition, object_table, buckets,
-            settle_cap=settle_cap, build_workers=workers,
-            object_entries=entries, metrics=metrics,
+            settle_cap=settle_cap, object_entries=entries, metrics=metrics,
         )
         index._record_build_trace(trace)
         return index
@@ -1016,7 +983,6 @@ class CHIndex(HierarchyIndexBase):
     # ------------------------------------------------------------------
     def _bind_backend_metrics(self, registry) -> None:
         self.hierarchy.bind_metrics(registry)
-        registry.gauge("backend.ch.build.workers").set(self.build_workers)
 
     def _forward_entries(self, node: int):
         return self.hierarchy.search_space(node)
@@ -1029,7 +995,6 @@ class CHIndex(HierarchyIndexBase):
             self.network,
             self.dataset,
             settle_cap=self.settle_cap,
-            workers=self.build_workers,
             record_repair=record_repair,
             metrics=self.metrics,
         )
@@ -1124,7 +1089,6 @@ class CHIndex(HierarchyIndexBase):
         report["shortcuts"] = self.hierarchy.num_shortcuts
         report["upward_edges"] = self.hierarchy.num_upward_edges
         report["settle_cap"] = self.settle_cap
-        report["build_workers"] = self.build_workers
         if self.hierarchy.rounds is not None:
             report["contraction_rounds"] = self.hierarchy.rounds
         return report

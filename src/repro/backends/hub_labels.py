@@ -12,20 +12,19 @@ Zhu et al.).
 
 Construction: labels are the *stalled upward search spaces* of
 :class:`~repro.backends.ch.ContractionHierarchy`, pruned of
-overestimates.  Once ranks are fixed the distillation is embarrassingly
-parallel, in two phases: (1) every node's search space — independent
-upward sweeps, fanned out over a fork pool and concatenated into one
-CSR in node order; (2) per-entry pruning, where ``(h, d)`` survives iff
-joining ``v``'s space against ``h``'s *space* cannot beat ``d``.  A
-search space is itself a valid hub label, so that join already equals
-the exact distance ``d(v, h)`` — the keep rule is "the entry is exact",
-the same set the classic prune-against-finished-labels recurrence keeps
-— which removes the rank-order data dependency between nodes: phase (2)
-is one :func:`~repro.backends.base.batch_label_join_csr` kernel call
-per node against the shared phase-(1) CSR, trivially parallel and
-bit-identical for any worker count.  Pruning only removes entries that
-were never shortest-path witnesses, so the cover property is inherited
-from the search spaces.
+overestimates.  Once ranks are fixed the distillation runs in two
+phases: (1) every node's search space — independent upward sweeps,
+concatenated into one CSR in node order; (2) per-entry pruning, where
+``(h, d)`` survives iff joining ``v``'s space against ``h``'s *space*
+cannot beat ``d``.  A search space is itself a valid hub label, so that
+join already equals the exact distance ``d(v, h)`` — the keep rule is
+"the entry is exact", the same set the classic
+prune-against-finished-labels recurrence keeps — which removes the
+rank-order data dependency between nodes: phase (2) is a few
+:func:`~repro.backends.base.batch_label_join_csr` kernel calls against
+the shared phase-(1) CSR.  Pruning only removes entries that were never
+shortest-path witnesses, so the cover property is inherited from the
+search spaces.
 
 ``distance()`` is then a sorted-merge intersection of two label slices —
 no graph traversal at all — and ``distance_batch()`` runs the same join
@@ -50,20 +49,12 @@ from repro.backends.ch import (
     ContractionHierarchy,
     downward_closure,
 )
-from repro.backends.parallel import FanoutRunner
 from repro.core.signature import ObjectDistanceTable
 from repro.core.update import UpdateReport
 from repro.network.graph import RoadNetwork
-from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.tracing import Tracer
 
 __all__ = ["HubLabelIndex", "build_labels"]
-
-
-def _space_chunk(state, nodes):
-    """Fan-out work function: stalled search spaces for a node chunk."""
-    hierarchy = state
-    return [hierarchy.search_space(int(v)) for v in nodes]
 
 
 #: Per-call pair budget for the pruning joins: large enough to amortize
@@ -72,19 +63,18 @@ def _space_chunk(state, nodes):
 _PRUNE_BLOCK_PAIRS = 32768
 
 
-def _prune_chunk(state, nodes):
-    """Fan-out work function: exactness pruning for a node chunk.
+def _prune_spaces(indptr, hubs, dists):
+    """Exactness pruning of every node's search space.
 
-    ``state`` is the phase-(1) search-space CSR.  Each node's entries
-    are kept iff the vectorized join of its space against every hub's
-    space cannot beat the stored distance — i.e. the distance is exact.
-    All (node, hub) pairs of the chunk go through
-    :func:`batch_label_join_csr` in a few node-aligned blocks rather
-    than one call per node; the joins — and therefore the kept entries
-    — are bit-identical either way.
+    ``(indptr, hubs, dists)`` is the phase-(1) search-space CSR.  Each
+    node's entries are kept iff the vectorized join of its space against
+    every hub's space cannot beat the stored distance — i.e. the
+    distance is exact.  All (node, hub) pairs go through
+    :func:`batch_label_join_csr` in node-aligned blocks rather than one
+    call per node; the joins — and therefore the kept entries — are
+    bit-identical either way.
     """
-    indptr, hubs, dists = state
-    nodes_arr = np.asarray(nodes, dtype=np.int64)
+    nodes_arr = np.arange(len(indptr) - 1, dtype=np.int64)
     out = []
     start = 0
     while start < len(nodes_arr):
@@ -127,32 +117,17 @@ def _prune_chunk(state, nodes):
 
 def build_labels(
     hierarchy: ContractionHierarchy,
-    *,
-    workers: int = 1,
-    parallel_threshold: int | None = None,
-    metrics=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pruned hub labels for every node, as one CSR.
 
     Returns ``(label_indptr, label_hubs, label_dists)``; node ``v``'s
     label is the slice ``label_indptr[v]:label_indptr[v+1]``, sorted by
-    hub id with exact distances.  ``workers`` fans both phases out over
-    fork processes; the arrays are bit-identical for any worker count
-    (``workers=1`` runs the identical per-node code inline).
+    hub id with exact distances.
     """
-    registry = metrics if metrics is not None else NULL_REGISTRY
-    runner = FanoutRunner(
-        workers,
-        parallel_threshold,
-        fallback_counter=registry.counter(
-            "backend.hub.labels.serial_fallback"
-        ),
-    )
     n = hierarchy.num_nodes
-    node_range = list(range(n))
     # Phase 1: every search space, concatenated into one CSR in node
     # order (per-node sweeps are independent once ranks are fixed).
-    spaces = runner.run(_space_chunk, hierarchy, node_range)
+    spaces = [hierarchy.search_space(v) for v in range(n)]
     sp_indptr = np.zeros(n + 1, dtype=np.int64)
     if n:
         np.cumsum([len(hubs) for hubs, _ in spaces], out=sp_indptr[1:])
@@ -163,9 +138,7 @@ def build_labels(
         sp_dists = np.zeros(0, dtype=np.float64)
     del spaces
     # Phase 2: per-node exactness pruning against the shared CSR.
-    pruned = runner.run(
-        _prune_chunk, (sp_indptr, sp_hubs, sp_dists), node_range
-    )
+    pruned = _prune_spaces(sp_indptr, sp_hubs, sp_dists)
     indptr = np.zeros(n + 1, dtype=np.int64)
     if n:
         np.cumsum([len(hubs) for hubs, _ in pruned], out=indptr[1:])
@@ -174,9 +147,6 @@ def build_labels(
     else:
         label_hubs = np.zeros(0, dtype=np.int32)
         label_dists = np.zeros(0, dtype=np.float64)
-    registry.gauge("backend.hub.labels.parallel_efficiency").set(
-        runner.efficiency()
-    )
     return indptr, label_hubs.astype(np.int32), label_dists
 
 
@@ -223,7 +193,6 @@ class HubLabelIndex(HierarchyIndexBase):
         buckets,
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
-        build_workers: int = 1,
         hierarchy: ContractionHierarchy | None = None,
         metrics=None,
     ) -> None:
@@ -232,7 +201,6 @@ class HubLabelIndex(HierarchyIndexBase):
         self.label_hubs = label_hubs
         self.label_dists = label_dists
         self.settle_cap = int(settle_cap)
-        self.build_workers = max(1, int(build_workers))
         # The hierarchy the labels were distilled from — kept (when
         # available) so incremental repair can replay contractions and
         # recompute only the affected labels.  ``None`` for indexes
@@ -257,17 +225,13 @@ class HubLabelIndex(HierarchyIndexBase):
         dataset,
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
-        workers: int = 1,
-        parallel_threshold: int | None = None,
         record_repair: bool = False,
         metrics=None,
     ) -> "HubLabelIndex":
         """Contract, distill labels, bucket the object labels.
 
-        ``workers`` parallelizes both the contraction's witness searches
-        and the label distillation (bit-identical output for any count);
-        ``settle_cap`` bounds each witness search.  Both persist with
-        the index and are reused on §5.4 rebuilds.
+        ``settle_cap`` bounds each witness search; it persists with the
+        index and is reused on §5.4 rebuilds.
 
         Build phases — ``build.contract``, ``build.labels``,
         ``build.buckets``, ``build.object_table`` — land on
@@ -280,19 +244,12 @@ class HubLabelIndex(HierarchyIndexBase):
                 hierarchy = ContractionHierarchy.build(
                     network,
                     settle_cap=settle_cap,
-                    workers=workers,
-                    parallel_threshold=parallel_threshold,
                     record_repair=record_repair,
                     metrics=metrics,
                 )
                 span.set("shortcuts", hierarchy.num_shortcuts)
             with trace.span("build.labels") as span:
-                indptr, hubs, dists = build_labels(
-                    hierarchy,
-                    workers=workers,
-                    parallel_threshold=parallel_threshold,
-                    metrics=metrics,
-                )
+                indptr, hubs, dists = build_labels(hierarchy)
                 span.set("entries", len(hubs))
             with trace.span("build.buckets") as span:
                 entries = [
@@ -313,8 +270,7 @@ class HubLabelIndex(HierarchyIndexBase):
         index = cls(
             network, dataset, hierarchy.order, indptr, hubs, dists,
             partition, object_table, buckets,
-            settle_cap=settle_cap, build_workers=workers,
-            hierarchy=hierarchy, metrics=metrics,
+            settle_cap=settle_cap, hierarchy=hierarchy, metrics=metrics,
         )
         index._record_build_trace(trace)
         return index
@@ -339,7 +295,6 @@ class HubLabelIndex(HierarchyIndexBase):
         registry.gauge("backend.hub.label_entries").set(
             self.num_label_entries
         )
-        registry.gauge("backend.hub.build.workers").set(self.build_workers)
 
     def _forward_entries(self, node: int):
         lo = int(self.label_indptr[node])
@@ -374,7 +329,6 @@ class HubLabelIndex(HierarchyIndexBase):
             self.network,
             self.dataset,
             settle_cap=self.settle_cap,
-            workers=self.build_workers,
             record_repair=record_repair,
             metrics=self.metrics,
         )
@@ -730,5 +684,4 @@ class HubLabelIndex(HierarchyIndexBase):
             else 0.0
         )
         report["settle_cap"] = self.settle_cap
-        report["build_workers"] = self.build_workers
         return report

@@ -8,7 +8,7 @@ repro generate-dataset net.txt objects.txt --density 0.01 --seed 1
 repro partition net.txt --shards 4
 repro build net.txt objects.txt index_dir --partition optimal
 repro build net.txt objects.txt index_dir --shards 4
-repro build usa.gr objects.txt index_dir --backend hub --build-workers 4
+repro build usa.gr objects.txt index_dir --backend hub
 repro info index_dir
 repro query index_dir knn --node 42 --k 5
 repro query index_dir range --node 42 --radius 50
@@ -149,17 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     build.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        dest="build_workers",
-        help=(
-            "processes used during construction (ch/hub: witness "
-            "searches and label distillation; signature: per-object "
-            "trees); output is bit-identical for any worker count"
-        ),
-    )
-    build.add_argument(
         "--settle-cap",
         type=int,
         default=None,
@@ -267,13 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dispatch every request alone (sets max_batch to 1)",
     )
     serve.add_argument(
-        "--decoded-cache",
-        type=int,
-        default=None,
-        metavar="CAPACITY",
-        help="enable the decoded-row cache (0 = unbounded)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -318,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compact.add_argument("index_dir")
     compact.add_argument(
         "--engine",
-        choices=("scalar", "vectorized", "columnar"),
+        choices=("scalar", "vectorized"),
         default=None,
         help="also switch the saved query engine (default: keep)",
     )
@@ -461,7 +443,7 @@ def _cmd_build(args) -> int:
                 f"--backend {args.backend} does not support --shards; "
                 "sharding is a signature-index feature"
             )
-        build_kwargs = {"workers": args.build_workers}
+        build_kwargs = {}
         if args.settle_cap is not None:
             build_kwargs["settle_cap"] = args.settle_cap
         index = build_backend(
@@ -478,8 +460,7 @@ def _cmd_build(args) -> int:
             f"built {args.backend} index in {args.index_dir}: "
             f"{stats['nodes']} nodes, {stats['objects']} objects, "
             f"{extra}, {stats['index_bytes']} index bytes "
-            f"(settle_cap={stats['settle_cap']}, "
-            f"workers={stats['build_workers']})"
+            f"(settle_cap={stats['settle_cap']})"
         )
         return 0
     if args.settle_cap is not None:
@@ -505,9 +486,6 @@ def _cmd_build(args) -> int:
             f"empirical optimizer: c={partition.c:g}, "
             f"T={partition.first_boundary:g}"
         )
-    # workers=None keeps the historical default (cpu-count fan-out when
-    # the python sweep is in play); an explicit --build-workers pins it.
-    sig_workers = args.build_workers if args.build_workers > 1 else None
     if args.shards > 1:
         from repro.shard import ShardedSignatureIndex
 
@@ -518,7 +496,6 @@ def _cmd_build(args) -> int:
             num_shards=args.shards,
             refine_passes=args.refine_passes,
             compress=not args.no_compress,
-            workers=sig_workers,
         )
         save_index(index, args.index_dir)
         stats = index.stats()
@@ -536,7 +513,6 @@ def _cmd_build(args) -> int:
         dataset,
         partition,
         compress=not args.no_compress,
-        workers=sig_workers,
     )
     save_index(index, args.index_dir)
     report = index.storage_report()
@@ -724,14 +700,6 @@ def _cmd_serve(args) -> int:
             "error: serve needs an index_dir or --demo-nodes", file=sys.stderr
         )
         return 2
-    if args.decoded_cache is not None:
-        capacity = None if args.decoded_cache == 0 else args.decoded_cache
-        if hasattr(index, "enable_decoded_cache"):
-            index.enable_decoded_cache(capacity)
-        else:  # sharded: the cache lives on each shard index
-            for shard in index.shards:
-                if shard.index is not None:
-                    shard.index.enable_decoded_cache(capacity)
     workers = args.workers
     num_shards = getattr(index, "num_shards", 1)
     if num_shards > 1 and workers == 1:
@@ -844,15 +812,10 @@ def _cmd_compact(args) -> int:
     index_dir = Path(args.index_dir)
     before = (index_dir / "meta.txt").read_text().splitlines()[0]
     index = load_index(index_dir)
-    if args.engine == "columnar":
-        index.enable_columnar()
-    elif args.engine is not None:
-        index.disable_columnar()
+    if args.engine is not None:
         index.query_engine = args.engine
     save_index(index, index_dir, format=2)
-    store = index.columnar or ColumnarSignatureStore.from_index(
-        index, bind=False
-    )
+    store = ColumnarSignatureStore.from_index(index)
     print(
         f"compacted {index_dir}: {before.split()[-1] if before else '?'} -> 2, "
         f"{store.num_nodes} nodes x {store.num_objects} objects, "

@@ -61,11 +61,7 @@ from repro.core.signature import (
 )
 from repro.core.spanning_tree import ObjectSpanningTrees
 from repro.core.update import UpdateReport
-from repro.core.vectorized import (
-    DecodedSignatureCache,
-    decode_signature_row,
-    decode_signature_rows,
-)
+from repro.core.vectorized import decode_signature_row, decode_signature_rows
 
 __all__ = [
     "DistanceIndex",
@@ -100,7 +96,6 @@ __all__ = [
     "resolve_component",
     "signature_summation",
     "UpdateReport",
-    "DecodedSignatureCache",
     "decode_signature_row",
     "decode_signature_rows",
     "rzp_code",

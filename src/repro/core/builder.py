@@ -6,20 +6,16 @@ tree from n, ... we build the shortest path spanning tree for every object
 o by the Dijkstra's algorithm, so that all the distances computed are
 necessary for the signatures."
 
-Three interchangeable backends run those per-object Dijkstra sweeps:
+Two interchangeable backends run those per-object Dijkstra sweeps:
 
 * ``"python"`` — the reference implementation on
   :func:`repro.network.dijkstra.shortest_path_tree`; transparent, used by
   the correctness tests;
-* ``"python-parallel"`` — the same per-object sweeps fanned out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` in rank-ordered
-  chunks; merge order is deterministic (results land by rank regardless
-  of worker scheduling), so its output is bit-identical to ``"python"``;
 * ``"scipy"`` — ``scipy.sparse.csgraph.dijkstra`` over a CSR adjacency
   matrix, computing all D trees in one vectorized call; used by the
   benchmarks so the paper-scale sweeps finish in Python.
 
-All produce bit-identical categories; shortest-path *trees* may differ in
+Both produce bit-identical categories; shortest-path *trees* may differ in
 tie-breaking, which every consumer tolerates (any shortest-path tree is a
 valid backtracking structure).
 """
@@ -27,8 +23,6 @@ valid backtracking structure).
 from __future__ import annotations
 
 import logging
-import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -203,117 +197,17 @@ def _sweep_scipy(
     return tree_distances, tree_parents
 
 
-# Per-worker network installed once by the pool initializer, so each chunk
-# message carries only object node ids, not the whole graph.
-_WORKER_NETWORK: RoadNetwork | None = None
-
-
-def _parallel_worker_init(network: RoadNetwork) -> None:
-    global _WORKER_NETWORK
-    _WORKER_NETWORK = network
-
-
-def _parallel_sweep_chunk(
-    object_nodes: list[int],
-) -> tuple[float, list[tuple[list[float], list[int]]]]:
-    """One worker-side chunk; returns ``(busy_seconds, results)`` so the
-    parent can account worker utilization without extra IPC."""
-    network = _WORKER_NETWORK
-    if network is None:  # pragma: no cover - initializer always ran
-        raise IndexError_("parallel sweep worker was not initialized")
-    started = time.perf_counter()
-    results = []
-    for object_node in object_nodes:
-        tree = shortest_path_tree(network, object_node)
-        results.append((tree.distance, tree.parent))
-    return time.perf_counter() - started, results
-
-
-def _sweep_python_parallel(
-    network: RoadNetwork,
-    dataset: ObjectDataset,
-    workers: int | None = None,
-    registry=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The python sweep fanned out over a process pool.
-
-    Objects are chunked in rank order and merged back by chunk position
-    (``executor.map`` preserves input order), so the output is
-    bit-identical to :func:`_sweep_python` no matter how workers are
-    scheduled.  Falls back to the serial sweep when no pool can be
-    spawned (restricted environments).
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    registry = registry or NULL_REGISTRY
-    num_objects = len(dataset)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(workers, num_objects))
-    if workers == 1:
-        return _sweep_python(network, dataset, registry)
-
-    objects = list(dataset)
-    chunk_size = max(1, math.ceil(num_objects / (workers * 4)))
-    chunks = [
-        objects[start : start + chunk_size]
-        for start in range(0, num_objects, chunk_size)
-    ]
-    tree_distances = np.full((num_objects, network.num_nodes), np.inf)
-    tree_parents = np.full(
-        (num_objects, network.num_nodes), NO_PARENT, dtype=np.int32
-    )
-    registry.gauge("construction.workers").set(workers)
-    chunk_hist = registry.histogram("construction.chunk_seconds")
-    busy_seconds = 0.0
-    wall_start = time.perf_counter()
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_parallel_worker_init,
-            initargs=(network,),
-        ) as executor:
-            rank = 0
-            for chunk_seconds, chunk_results in executor.map(
-                _parallel_sweep_chunk, chunks
-            ):
-                busy_seconds += chunk_seconds
-                chunk_hist.observe(chunk_seconds)
-                for distance, parent in chunk_results:
-                    tree_distances[rank] = distance
-                    tree_parents[rank] = parent
-                    rank += 1
-    except (OSError, PermissionError, ValueError) as exc:
-        # Sandboxes and restricted hosts may forbid subprocess spawn;
-        # degrade to the serial reference sweep rather than failing.
-        registry.counter("construction.serial_fallbacks").inc()
-        logger.warning(
-            "process pool unavailable (%s); falling back to serial sweep",
-            exc,
-        )
-        return _sweep_python(network, dataset, registry)
-    wall = time.perf_counter() - wall_start
-    if wall > 0:
-        registry.gauge("construction.worker_utilization").set(
-            min(busy_seconds / (wall * workers), 1.0)
-        )
-    return tree_distances, tree_parents
-
-
 def run_construction_sweep(
     network: RoadNetwork,
     dataset: ObjectDataset,
     *,
     backend: str = "auto",
-    workers: int | None = None,
     registry=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The §5.2 per-object Dijkstra sweep: ``(distances, parents)``.
 
     Both arrays are ``(D, N)``.  ``backend`` is ``"python"``,
-    ``"python-parallel"``, ``"scipy"``, or ``"auto"`` (scipy when
-    importable, else python).  ``workers`` caps the process fan-out of
-    ``"python-parallel"`` (default: the machine's CPU count).
+    ``"scipy"``, or ``"auto"`` (scipy when importable, else python).
     ``registry`` receives ``construction.*`` profiling metrics (the
     process-wide default registry when omitted).
     """
@@ -334,8 +228,6 @@ def run_construction_sweep(
         swept = _sweep_scipy(network, dataset)
     elif backend == "python":
         swept = _sweep_python(network, dataset, registry)
-    elif backend == "python-parallel":
-        swept = _sweep_python_parallel(network, dataset, workers, registry)
     else:
         raise IndexError_(f"unknown construction backend {backend!r}")
     elapsed = time.perf_counter() - started
@@ -378,11 +270,10 @@ def build_raw_signature_data(
     partition: CategoryPartition,
     *,
     backend: str = "auto",
-    workers: int | None = None,
 ) -> RawSignatureData:
     """Run the §5.2 construction sweep and categorize its output."""
     tree_distances, tree_parents = run_construction_sweep(
-        network, dataset, backend=backend, workers=workers
+        network, dataset, backend=backend
     )
     return assemble_signature_data(
         network, dataset, partition, tree_distances, tree_parents

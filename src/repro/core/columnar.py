@@ -26,17 +26,14 @@ O(1) regardless of index size, page-cache-shared between every process
 mapping the same files, and still privately writable so §5.4 updates
 work on a loaded index without touching the snapshot.
 
-When attached to a live :class:`~repro.core.index.SignatureIndex`
-(``query_engine="columnar"``), the store *shares memory* with the
-``SignatureTable`` — attaching rebinds the table's arrays to the store's
-width-minimal ones — so the §5.4 update machinery keeps a single copy
-current and the engine's block reads need no decode, no cache, and no
-invalidation protocol of their own.
+Loading a v2 directory hands the mapped arrays to the index's
+``SignatureTable`` as they are, so the batch engine reads the mapped
+category matrix directly.
 
 Trade-off vs. the §5 compressed encoding: format v2 spends
 ``N*D*(8 + link bits)`` of storage where the bit stream spends roughly
 ``N*D*(code + flag + link bits)`` — typically 2–4x larger on disk — and
-buys O(1) zero-copy loads and decode-free scans in exchange.  The size
+buys O(1) zero-copy loads in exchange.  The size
 *accounting* (`storage_report`, the simulated pager) still models the
 paper's compressed layout either way.
 """
@@ -50,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import IndexError_, StorageError
+from repro.errors import IndexError_
 
 __all__ = ["ColumnarSignatureStore", "FORMAT_VERSION"]
 
@@ -179,80 +176,34 @@ class ColumnarSignatureStore:
     # construction from a live index
     # ------------------------------------------------------------------
     @classmethod
-    def from_index(cls, index, *, bind: bool = True) -> "ColumnarSignatureStore":
-        """Build a store over ``index``'s state, width-minimizing dtypes.
+    def from_index(cls, index) -> "ColumnarSignatureStore":
+        """Snapshot ``index``'s state, width-minimizing dtypes.
 
-        With ``bind=True`` (the attach path) the ``SignatureTable``'s
-        ``categories`` / ``links`` are **replaced** by the store's arrays
-        so the two stay one memory — §5.4 updates writing through the
-        table are immediately visible to columnar block reads.  With
-        ``bind=False`` (the persistence snapshot path) the index is left
-        untouched.
+        The index is left untouched; arrays already in the narrow dtype
+        are shared rather than copied.
         """
-        store = cls.__new__(cls)
-        store._derive(index, bind=bind)
-        return store
-
-    def rebind(self, index) -> None:
-        """Refresh after a structural change replaced the table's arrays.
-
-        Called from the facade's ``_build_storage`` hook: object
-        insertion/removal and node growth allocate new table arrays
-        (possibly widening dtypes along the way), so the store re-derives
-        its views and re-establishes the shared-memory invariant.
-        """
-        self._derive(index, bind=True)
-
-    def _derive(self, index, *, bind: bool) -> None:
         table = index.table
         partition = table.partition
-        categories = np.ascontiguousarray(
-            table.categories.astype(
-                _category_dtype(partition.unreachable), copy=False
-            )
-        )
-        links = np.ascontiguousarray(
-            table.links.astype(_link_dtype(table.max_degree), copy=False)
-        )
-        if bind:
-            table.categories = categories
-            table.links = links
-        self.categories = categories
-        self.links = links
-        self.compressed = table.compressed
-        self.bases = table.bases
-        self.boundaries = np.asarray(partition.boundaries, dtype=np.float64)
-        self.object_nodes = np.asarray(list(index.dataset), dtype=np.int64)
-        self.object_distances = index.object_table._matrix
         trees = index.trees
-        self.tree_distances = None if trees is None else trees.distances
-        self.tree_parents = None if trees is None else trees.parents
-        self.max_degree = int(table.max_degree)
-        self.drop_last = bool(index.object_table._drop_last_category)
-        self._validate_shapes()
-
-    # ------------------------------------------------------------------
-    # block reads (the decode-free query path)
-    # ------------------------------------------------------------------
-    def category_block(self, index, nodes: np.ndarray) -> np.ndarray:
-        """Logical ``(B, D)`` category rows of ``nodes`` — no decode.
-
-        The store holds logical categories directly, so this is one
-        fancy-indexed copy in the store's narrow dtype.  §5.3 flagged
-        components still advance the index's ``decompressions`` tally
-        (decompression costs CPU, never I/O — same accounting as the
-        scalar and row-decode paths), and an out-of-range node raises
-        the same :class:`~repro.errors.StorageError` the pager would.
-        """
-        categories = self.categories
-        num_nodes = categories.shape[0]
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
-            bad = int(nodes[(nodes < 0) | (nodes >= num_nodes)][0])
-            raise StorageError(f"signatures: no record with key {bad!r}")
-        flagged = int(self.compressed[nodes].sum())
-        if flagged and hasattr(index, "decompressions"):
-            index.decompressions += flagged
-        return categories[nodes]
+        return cls(
+            categories=np.ascontiguousarray(
+                table.categories.astype(
+                    _category_dtype(partition.unreachable), copy=False
+                )
+            ),
+            links=np.ascontiguousarray(
+                table.links.astype(_link_dtype(table.max_degree), copy=False)
+            ),
+            compressed=table.compressed,
+            bases=table.bases,
+            boundaries=np.asarray(partition.boundaries, dtype=np.float64),
+            object_nodes=np.asarray(list(index.dataset), dtype=np.int64),
+            object_distances=index.object_table._matrix,
+            tree_distances=None if trees is None else trees.distances,
+            tree_parents=None if trees is None else trees.parents,
+            max_degree=table.max_degree,
+            drop_last=index.object_table._drop_last_category,
+        )
 
     # ------------------------------------------------------------------
     # shape / introspection

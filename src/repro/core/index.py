@@ -79,7 +79,7 @@ class _NullScope:
 _NULL_SCOPE = _NullScope()
 
 _SIZE_KINDS = ("raw", "encoded", "compressed")
-_QUERY_ENGINES = ("vectorized", "scalar", "columnar")
+_QUERY_ENGINES = ("vectorized", "scalar")
 _KNN_REFINE_MODES = ("pruned", "legacy")
 
 
@@ -199,8 +199,8 @@ class SignatureIndex:
     -----------
     The facade is **not** thread-safe — even read-only queries mutate
     shared state: the page-access :attr:`counter`, the
-    :attr:`decompressions` tally, the decoded-row LRU (:attr:`decoded`),
-    the buffer pool, every metrics instrument, and the active tracer.
+    :attr:`decompressions` tally, the buffer pool, every metrics
+    instrument, and the active tracer.
     Two constraints follow, and :mod:`repro.serve` is built around them:
 
     * concurrent *queries* must be serialized onto one thread (an asyncio
@@ -259,6 +259,9 @@ class SignatureIndex:
         self.counter = PageAccessCounter()
         self.buffer_pool = buffer_pool
         self.decompressions = 0
+        #: Outcome of §5.3 compression at build time; ``None`` when the
+        #: index was assembled or loaded rather than built.
+        self.compression_stats: CompressionStats | None = None
         self.query_engine = query_engine
         #: kNN boundary resolution: "pruned" routes through the
         #: bound-pruned shared-frontier core (repro.core.knn_refine),
@@ -268,14 +271,8 @@ class SignatureIndex:
         # Observability: an own registry (cheap, on by default — swap in
         # repro.obs.NULL_REGISTRY to disable), no tracer until trace().
         self.tracer: Tracer | None = None
-        self.decoded = vectorized.DecodedSignatureCache()
-        #: Attached zero-copy store (query_engine="columnar" only); when
-        #: set, both query engines' block reads bypass row decoding.
-        self.columnar = None
         self.use_metrics(metrics if metrics is not None else MetricsRegistry())
         self._build_storage()
-        if query_engine == "columnar":
-            self.enable_columnar()
 
     # ------------------------------------------------------------------
     # construction
@@ -297,7 +294,6 @@ class SignatureIndex:
         buffer_pool: LRUBufferPool | None = None,
         query_engine: str = "vectorized",
         knn_refine: str = "pruned",
-        workers: int | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "SignatureIndex":
         """Construct the index per §5.2 (+ §5.3 compression by default).
@@ -319,8 +315,7 @@ class SignatureIndex:
         registry = metrics if metrics is not None else MetricsRegistry()
         build_start = time.perf_counter()
         tree_distances, tree_parents = run_construction_sweep(
-            network, dataset, backend=backend, workers=workers,
-            registry=registry,
+            network, dataset, backend=backend, registry=registry,
         )
         if partition is None or isinstance(partition, str):
             finite = tree_distances[np.isfinite(tree_distances)]
@@ -438,13 +433,6 @@ class SignatureIndex:
                 f"unknown storage schema {self.storage_schema!r}; use "
                 f"'separate' or 'merged'"
             )
-        # Re-packing follows structural change (updates, growth): decoded
-        # rows and the object category matrix may both be stale.
-        self.decoded.clear()
-        # Structural changes replace table/dataset arrays wholesale; the
-        # columnar store must re-derive its views to stay memory-shared.
-        if self.columnar is not None:
-            self.columnar.rebind(self)
 
     def refresh_storage(self) -> None:
         """Re-pack the paged files after incremental updates changed sizes."""
@@ -488,7 +476,6 @@ class SignatureIndex:
         self._metric_refine_reuse = registry.counter(
             "knn_refine.frontier_hits"
         )
-        self.decoded.bind_metrics(registry)
 
     def _scope(self, kind: str, *, count: int = 1, counter=None, **attrs):
         """One instrumented region: a ``kind``-named span plus metrics.
@@ -540,63 +527,6 @@ class SignatureIndex:
             span.set("touched_nodes", report.touched_nodes)
             span.set("recompressed_nodes", report.recompressed_nodes)
         return report
-
-    # ------------------------------------------------------------------
-    # decoded-signature cache (vectorized engine)
-    # ------------------------------------------------------------------
-    def enable_decoded_cache(self, capacity: int | None = None) -> None:
-        """Opt in to memoizing decoded signature rows.
-
-        ``capacity`` caps the number of cached rows (LRU eviction);
-        ``None`` means unbounded.  The cache is invalidated explicitly by
-        the §5.4 update machinery and cleared wholesale whenever storage
-        is re-packed, so cached answers never go stale.
-        """
-        self.decoded = vectorized.DecodedSignatureCache(capacity)
-        self.decoded.row_caching = True
-        self.decoded.bind_metrics(self.metrics)
-
-    def disable_decoded_cache(self) -> None:
-        """Drop all memoized rows and stop caching new ones."""
-        self.decoded = vectorized.DecodedSignatureCache()
-        self.decoded.bind_metrics(self.metrics)
-
-    # ------------------------------------------------------------------
-    # columnar store (zero-copy engine)
-    # ------------------------------------------------------------------
-    def enable_columnar(self) -> None:
-        """Switch to the columnar engine: decode-free block reads.
-
-        Attaches a :class:`~repro.core.columnar.ColumnarSignatureStore`
-        built from (and memory-shared with) the signature table — the
-        table's ``categories`` / ``links`` are rebound to the store's
-        width-minimal arrays, so §5.4 updates keep a single copy current
-        and no separate invalidation protocol is needed.  The decoded-row
-        cache becomes irrelevant while the store is attached (block reads
-        skip it entirely).
-        """
-        from repro.core.columnar import ColumnarSignatureStore
-
-        self.query_engine = "columnar"
-        self.columnar = ColumnarSignatureStore.from_index(self)
-
-    def disable_columnar(self) -> None:
-        """Detach the columnar store and fall back to row decoding."""
-        self.columnar = None
-        if self.query_engine == "columnar":
-            self.query_engine = "vectorized"
-
-    def invalidate_decoded(
-        self, nodes=None, *, objects: bool = False
-    ) -> None:
-        """Evict decoded rows for ``nodes`` (all rows when ``None``).
-
-        With ``objects=True`` the object category matrix is dropped too —
-        required whenever the object-to-object distance table changed.
-        """
-        if objects:
-            self.decoded.invalidate_objects()
-        self.decoded.invalidate(nodes)
 
     # ------------------------------------------------------------------
     # SignatureIndexProtocol (I/O-charged primitives)
@@ -688,12 +618,7 @@ class SignatureIndex:
     # ------------------------------------------------------------------
     @property
     def _queries(self):
-        """The active query implementation module (engine dispatch).
-
-        ``"columnar"`` reuses the vectorized algorithms — only the block
-        read differs (store-backed, decode-free; see
-        :func:`repro.core.vectorized._decode_block`).
-        """
+        """The active query implementation module (engine dispatch)."""
         return queries if self.query_engine == "scalar" else vectorized
 
     def range_query(
@@ -866,9 +791,9 @@ class SignatureIndex:
         The batch entry point of the unified update pipeline: the whole
         changeset is validated against the network *before* any tree or
         signature mutates, then each delta runs the §5.4 incremental
-        machinery in canonical order.  Scalar, vectorized, and columnar
-        query engines all share this path — the engines read the same
-        signature arrays the §5.4 functions maintain.
+        machinery in canonical order.  Both query engines share this
+        path — they read the same signature arrays the §5.4 functions
+        maintain.
         """
         from repro.core.changeset import ApplyResult, as_changeset
 

@@ -271,11 +271,6 @@ def save_index(index, directory: str | Path, *, format: int | None = None) -> No
 
     save_dataset(index.dataset, directory / "dataset.txt")
     encoding = index.stored_kind
-    if index.decoded.row_caching:
-        capacity = index.decoded.capacity
-        cache_spec = "unbounded" if capacity is None else str(capacity)
-    else:
-        cache_spec = "off"
     meta = [
         _MAGIC if format == 1 else _MAGIC_V2,
         "boundaries " + " ".join(repr(b) for b in index.partition.boundaries),
@@ -284,7 +279,6 @@ def save_index(index, directory: str | Path, *, format: int | None = None) -> No
         f"drop_last {int(index.object_table._drop_last_category)}",
         f"query_engine {index.query_engine}",
         f"knn_refine {index.knn_refine}",
-        f"decoded_cache {cache_spec}",
     ]
     if format == 1:
         payload = serialize_table(index.table, encoding=encoding)
@@ -294,10 +288,7 @@ def save_index(index, directory: str | Path, *, format: int | None = None) -> No
     else:
         from repro.core.columnar import ColumnarSignatureStore
 
-        store = index.columnar
-        if store is None:
-            store = ColumnarSignatureStore.from_index(index, bind=False)
-        store.save(directory / "columnar")
+        ColumnarSignatureStore.from_index(index).save(directory / "columnar")
         # A v2 directory has no bit stream; drop a stale one left behind
         # by a previous v1 save (the `repro compact` migration path).
         (directory / "signatures.bin").unlink(missing_ok=True)
@@ -354,20 +345,16 @@ def load_index(directory: str | Path):
     return loader(directory, meta)
 
 
-def _restore_serving_config(index, meta: dict[str, str]):
-    """Re-enable the saved decoded-cache configuration (both formats).
+def saved_query_engine(meta: dict[str, str]) -> str:
+    """The query engine a snapshot's ``meta.txt`` asks for.
 
-    Engine choice and cache enablement are restored so a served index
-    restarted from disk answers through the same code paths.  Saves
-    predating these keys fall back to the construction-time defaults.
+    Snapshots saved by releases that had a third, ``columnar`` engine
+    load on the vectorized engine, which reads the same stored rows.  A
+    ``decoded_cache`` line from those releases is ignored: batch reads
+    no longer cache rows.
     """
-    cache_spec = meta.get("decoded_cache", "off")
-    if cache_spec != "off":
-        index.enable_decoded_cache(
-            None if cache_spec == "unbounded" else int(cache_spec)
-        )
-    index.compression_stats = None
-    return index
+    engine = meta.get("query_engine", "vectorized")
+    return "vectorized" if engine == "columnar" else engine
 
 
 def _load_index_v1(directory: Path, meta: dict[str, str]):
@@ -412,7 +399,7 @@ def _load_index_v1(directory: Path, meta: dict[str, str]):
         table,
         object_table,
         stored_kind=encoding,
-        query_engine=meta.get("query_engine", "vectorized"),
+        query_engine=saved_query_engine(meta),
         knn_refine=meta.get("knn_refine", "pruned"),
     )
     if table.compressed.any():
@@ -433,7 +420,7 @@ def _load_index_v1(directory: Path, meta: dict[str, str]):
                 int(table.categories[node, base]),
                 object_table.category(base, int(rank)),
             )
-    return _restore_serving_config(index, meta)
+    return index
 
 
 def _load_index_v2(directory: Path, meta: dict[str, str]):
@@ -490,10 +477,10 @@ def _load_index_v2(directory: Path, meta: dict[str, str]):
         object_table,
         trees=trees,
         stored_kind=encoding,
-        query_engine=meta.get("query_engine", "vectorized"),
+        query_engine=saved_query_engine(meta),
         knn_refine=meta.get("knn_refine", "pruned"),
     )
-    return _restore_serving_config(index, meta)
+    return index
 
 
 def _load_index_v3(directory: Path, meta: dict[str, str]):

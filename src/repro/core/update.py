@@ -130,8 +130,6 @@ def _refresh_components(
                     touched_nodes.add(node)
         span.set("changed_components", report.changed_components)
     report.touched_nodes = len(touched_nodes)
-    # Changed categories/links make any memoized decoded rows stale.
-    index.invalidate_decoded(touched_nodes)
     return report, touched_nodes
 
 
@@ -157,9 +155,6 @@ def _refresh_object_table(index, affected_ranks: set[int]) -> np.ndarray:
     for rank in sorted(affected_ranks):
         object_table.set_row(rank, index.trees.distances[rank, object_nodes])
     changed = np.argwhere(before != object_table.category_matrix())
-    # Compressed components decode through the object category matrix, so
-    # every memoized decoded row is suspect once pair distances move.
-    index.invalidate_decoded(objects=True)
     return np.unique(np.sort(changed, axis=1), axis=0)
 
 

@@ -20,30 +20,25 @@ The paper's page-access semantics are preserved exactly:
 The property suite (``tests/test_vectorized.py``) asserts both result
 *and* page-access equality with the scalar path on random configurations.
 
-Decoding
---------
-A signature row is *decoded* by resolving §5.3-compressed components to
-their logical categories.  In-memory tables built by this library keep
-the logical category stored even for flagged components (compression is
-lossless by construction, and persistence restores logical values on
-load), so decoding is normally a plain row read; when ``bases`` are
-missing the Definition 5.1 summation is applied vectorized.  Decoded rows
-can be memoized in an opt-in :class:`DecodedSignatureCache`
-(:meth:`SignatureIndex.enable_decoded_cache`), which
-:mod:`repro.core.update` and ``refresh_storage`` invalidate explicitly.
+Row reads
+---------
+A signature row is read as its *logical* categories.  §5.3 compression is
+lossless by construction — a component is flagged only when the
+Definition 5.1 sum already equals its stored category — and every
+in-memory table (built, loaded from v1 or mapped from v2) keeps that
+logical category stored, so a batch read is one fancy-indexed copy of
+``table.categories``.  Flagged components still advance the index's
+``decompressions`` tally, exactly as the scalar path charges them.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
-from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.categories import CategoryPartition
-from repro.core.compression import resolve_category
 from repro.core.operations import (
     Backtracker,
     SignatureIndexProtocol,
@@ -54,13 +49,9 @@ from repro.core.operations import (
 from repro.core.queries import _AGGREGATES, KnnType, _pruned, _require_objects
 from repro.core.signature import DistanceRange
 from repro.errors import IndexError_, QueryError, StorageError
-from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.tracing import span_of
 
-logger = logging.getLogger("repro.core.vectorized")
-
 __all__ = [
-    "DecodedSignatureCache",
     "category_bound_arrays",
     "decode_signature_row",
     "decode_signature_rows",
@@ -72,132 +63,6 @@ __all__ = [
     "epsilon_join",
     "knn_join",
 ]
-
-
-# ----------------------------------------------------------------------
-# decoded-signature cache
-# ----------------------------------------------------------------------
-class DecodedSignatureCache:
-    """Memoized decoded signature rows plus the object category matrix.
-
-    Every :class:`~repro.core.index.SignatureIndex` owns one instance.
-    The ``(D, D)`` object category matrix (needed to decode compressed
-    components and to seed approximate comparators) is always cached and
-    dropped whenever the object distance table changes.  Per-node decoded
-    *rows* are only memoized once ``row_caching`` is switched on
-    (:meth:`SignatureIndex.enable_decoded_cache`), because a cached row
-    silently outliving an update would corrupt every batch query — so the
-    update machinery invalidates rows explicitly and the cache stays
-    opt-in.
-    """
-
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise IndexError_(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.row_caching = False
-        self.hits = 0
-        self.misses = 0
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._object_categories: np.ndarray | None = None
-        self.bind_metrics(NULL_REGISTRY)
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror hit/miss/invalidation tallies into ``registry``.
-
-        The cache always keeps its own integer tallies (``hits`` /
-        ``misses``); binding additionally feeds ``decoded_cache.*``
-        counters so metric exports can cross-check cache behavior.
-        """
-        self._metric_hits = registry.counter("decoded_cache.hits")
-        self._metric_misses = registry.counter("decoded_cache.misses")
-        self._metric_invalidated = registry.counter(
-            "decoded_cache.invalidated_rows"
-        )
-        self._metric_object_invalidations = registry.counter(
-            "decoded_cache.object_invalidations"
-        )
-
-    # -- rows ----------------------------------------------------------
-    def get_row(self, node: int) -> np.ndarray | None:
-        """The cached decoded row of ``node``, or ``None`` on a miss."""
-        if not self.row_caching:
-            return None
-        row = self._rows.get(node)
-        if row is None:
-            self.misses += 1
-            self._metric_misses.inc()
-            return None
-        self.hits += 1
-        self._metric_hits.inc()
-        self._rows.move_to_end(node)
-        return row
-
-    def store_row(self, node: int, row: np.ndarray) -> None:
-        """Memoize a decoded row (no-op unless row caching is enabled)."""
-        if not self.row_caching:
-            return
-        row.setflags(write=False)
-        self._rows[node] = row
-        self._rows.move_to_end(node)
-        if self.capacity is not None:
-            while len(self._rows) > self.capacity:
-                self._rows.popitem(last=False)
-
-    @property
-    def cached_rows(self) -> int:
-        """How many decoded rows are currently memoized."""
-        return len(self._rows)
-
-    # -- invalidation --------------------------------------------------
-    def invalidate(self, nodes: Sequence[int] | None = None) -> None:
-        """Drop the decoded rows of ``nodes`` (or every row when ``None``).
-
-        Called by :mod:`repro.core.update` for every node whose signature
-        components changed.
-        """
-        if nodes is None:
-            self._metric_invalidated.inc(len(self._rows))
-            self._rows.clear()
-            return
-        dropped = 0
-        for node in nodes:
-            if self._rows.pop(int(node), None) is not None:
-                dropped += 1
-        self._metric_invalidated.inc(dropped)
-
-    def invalidate_objects(self) -> None:
-        """Drop the object category matrix — and, since decoded rows may
-        derive compressed components from it, every row too."""
-        self._metric_object_invalidations.inc()
-        self._metric_invalidated.inc(len(self._rows))
-        self._object_categories = None
-        self._rows.clear()
-
-    def clear(self) -> None:
-        """Full reset (``refresh_storage`` / structural dataset changes)."""
-        if self._rows:
-            logger.debug("decoded cache cleared (%d rows)", len(self._rows))
-        self._metric_invalidated.inc(len(self._rows))
-        self._rows.clear()
-        self._object_categories = None
-
-    # -- object categories ---------------------------------------------
-    def object_categories(self, object_table) -> np.ndarray:
-        """The memoized ``(D, D)`` categorical object-distance matrix."""
-        matrix = self._object_categories
-        if matrix is None or matrix.shape[0] != object_table.num_objects:
-            matrix = object_table.category_matrix()
-            matrix.setflags(write=False)
-            self._object_categories = matrix
-        return matrix
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DecodedSignatureCache(rows={len(self._rows)}, "
-            f"row_caching={self.row_caching}, hits={self.hits}, "
-            f"misses={self.misses})"
-        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -224,113 +89,39 @@ def category_bound_arrays(
 
 
 # ----------------------------------------------------------------------
-# row decoding
+# row reads
 # ----------------------------------------------------------------------
-def _object_categories(index: SignatureIndexProtocol) -> np.ndarray:
-    cache = getattr(index, "decoded", None)
-    if cache is not None:
-        return cache.object_categories(index.object_table)
-    return index.object_table.category_matrix()
-
-
-def _decode_block(index: SignatureIndexProtocol, nodes: np.ndarray) -> np.ndarray:
-    """Decode the signature rows of ``nodes`` into logical categories.
+def _read_rows(index: SignatureIndexProtocol, nodes: np.ndarray) -> np.ndarray:
+    """The stored logical ``(B, D)`` category rows of ``nodes``.
 
     Pure CPU (mirrors §5.3: decompression costs no I/O); the index's
     ``decompressions`` tally is advanced by the number of flagged
-    components decoded, matching what the scalar path would charge.
-
-    When a :class:`~repro.core.columnar.ColumnarSignatureStore` is
-    attached (``query_engine="columnar"``) the rows come straight off
-    its contiguous category matrix — no decode, no cache — and this
-    function (plus :class:`DecodedSignatureCache`) is the legacy
-    fallback path.
+    components read, matching what the scalar path would charge.
     """
-    store = getattr(index, "columnar", None)
-    if store is not None:
-        return store.category_block(index, nodes)
     table = index.table
     num_nodes = table.categories.shape[0]
     if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
         bad = int(nodes[(nodes < 0) | (nodes >= num_nodes)][0])
         # Same failure the scalar path reports when the pager misses.
         raise StorageError(f"signatures: no record with key {bad!r}")
-    cats = table.categories[nodes].astype(np.int64)
-    flags = table.compressed[nodes]
-    flagged = int(flags.sum())
-    if not flagged:
-        return cats
     if hasattr(index, "decompressions"):
-        index.decompressions += flagged
-    bases = table.bases
-    rows, ranks = np.nonzero(flags)
-    if bases is None:
-        base_of = np.full(rows.shape, -1, dtype=np.int64)
-    else:
-        base_of = bases[nodes[rows], ranks].astype(np.int64)
-    known = base_of >= 0
-    if known.any():
-        partition = table.partition
-        sentinel = partition.unreachable
-        last = partition.num_categories - 1
-        object_categories = _object_categories(index)
-        base_cats = cats[rows[known], base_of[known]]
-        s_uv = object_categories[base_of[known], ranks[known]]
-        # Definition 5.1, vectorized (bases are never themselves flagged,
-        # so their stored category is already logical).
-        summed = np.where(
-            base_cats != s_uv,
-            np.maximum(base_cats, s_uv),
-            np.minimum(base_cats + 1, last),
-        )
-        summed = np.where(
-            (base_cats == sentinel) | (s_uv == sentinel), sentinel, summed
-        )
-        cats[rows[known], ranks[known]] = summed
-    if not known.all():
-        # No recorded base (e.g. a hand-assembled table): scalar resolve.
-        for row, rank in zip(rows[~known], ranks[~known]):
-            cats[row, rank] = resolve_category(
-                table, index.object_table, int(nodes[row]), int(rank)
-            )
-    return cats
+        index.decompressions += int(np.count_nonzero(table.compressed[nodes]))
+    return table.categories[nodes].astype(np.int64)
 
 
 def decode_signature_row(
     index: SignatureIndexProtocol, node: int
 ) -> np.ndarray:
-    """The logical ``(D,)`` category row of ``node`` (cache-aware).
-
-    An attached columnar store supersedes the cache: block reads are
-    already decode-free, so memoizing rows would only add staleness
-    risk for no gain.
-    """
-    if getattr(index, "columnar", None) is not None:
-        return _decode_block(index, np.array([node], dtype=np.int64))[0]
-    cache = getattr(index, "decoded", None)
-    if cache is not None:
-        row = cache.get_row(node)
-        if row is not None:
-            return row
-    row = _decode_block(index, np.array([node], dtype=np.int64))[0]
-    if cache is not None:
-        cache.store_row(node, row)
-    return row
+    """The logical ``(D,)`` category row of ``node``."""
+    return _read_rows(index, np.array([node], dtype=np.int64))[0]
 
 
 def decode_signature_rows(
     index: SignatureIndexProtocol, nodes: Sequence[int]
 ) -> np.ndarray:
-    """The logical ``(B, D)`` category rows of ``nodes`` (cache-aware)."""
-    cache = getattr(index, "decoded", None)
-    if getattr(index, "columnar", None) is not None:
-        cache = None  # the store is authoritative; see decode_signature_row
+    """The logical ``(B, D)`` category rows of ``nodes``."""
     with span_of(index, "decode", rows=len(nodes)):
-        if cache is not None and cache.row_caching:
-            return np.stack(
-                [decode_signature_row(index, int(n)) for n in nodes]
-            )
-        return _decode_block(index, np.asarray(list(nodes), dtype=np.int64))
+        return _read_rows(index, np.asarray(nodes, dtype=np.int64))
 
 
 # ----------------------------------------------------------------------

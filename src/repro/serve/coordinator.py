@@ -1,9 +1,9 @@
 """Read/write coordination: §5.4 updates vs in-flight query batches.
 
-Queries only *read* index structures (they do mutate counters and
-caches, which is why everything runs on one event loop — see the
-"Concurrency" section of :class:`~repro.core.index.SignatureIndex`), but
-§5.4 incremental updates rewrite signature rows, spanning trees, and the
+Queries only *read* index structures (they do mutate counters, which
+is why everything runs on one event loop — see the "Concurrency"
+section of :class:`~repro.core.index.SignatureIndex`), but §5.4
+incremental updates rewrite signature rows, spanning trees, and the
 paged layout non-atomically.  A query batch that interleaved with an
 update could see half-propagated categories — a torn read.
 
@@ -14,12 +14,10 @@ behind it so sustained query traffic cannot starve updates.
 
 :class:`UpdateCoordinator` wraps an index with that lock: batch
 dispatches run under :meth:`read`, ``POST /v1/edges`` mutations run
-under :meth:`write` via :meth:`apply`.  Decoded-row staleness is handled
-by the §5.4 machinery itself (``update.py`` invalidates the decoded
-cache precisely, per touched node — asserted by the interleaving stress
-test in ``tests/test_serve_coordinator.py``); the coordinator's job is
-ordering, plus a wholesale invalidation whenever an update forced a
-storage re-pack.
+under :meth:`write` via :meth:`apply`.  Batch reads see the signature
+rows exactly as the §5.4 machinery stores them, so there is nothing to
+invalidate: the coordinator's job is ordering (asserted by the
+interleaving stress test in ``tests/test_serve_coordinator.py``).
 """
 
 from __future__ import annotations
@@ -121,11 +119,9 @@ class UpdateCoordinator:
         self.index = index
         self.lock = ReadWriteLock()
         #: Monotonic update counter.  Each applied changeset bumps it
-        #: once and appends one entry to :attr:`update_log` — a legacy
-        #: ``(epoch, op, u, v, weight)`` tuple for single-delta
-        #: changesets, ``(epoch, "changeset", deltas, 0, None)`` for
-        #: batches — which worker processes replay to bring their
-        #: mmapped snapshot up to the dispatching epoch (see
+        #: once and appends one ``(epoch, "changeset", deltas, 0, None)``
+        #: entry to :attr:`update_log`, which worker processes replay to
+        #: bring their mmapped snapshot up to the dispatching epoch (see
         #: :mod:`repro.serve.workers`).  Failed updates never enter the
         #: log, so workers only ever replay operations the primary
         #: actually applied.  :meth:`compact` truncates entries every
@@ -246,15 +242,9 @@ class UpdateCoordinator:
         self._metric_update_seconds.observe(loop.time() - start)
         if changeset:
             self.epoch += 1
-            if len(changeset) == 1:
-                delta = changeset.deltas[0]
-                self.update_log.append(
-                    (self.epoch, delta.op, delta.u, delta.v, delta.weight)
-                )
-            else:
-                self.update_log.append(
-                    (self.epoch, "changeset", changeset.as_tuples(), 0, None)
-                )
+            self.update_log.append(
+                (self.epoch, "changeset", changeset.as_tuples(), 0, None)
+            )
             self._metric_log_length.set(len(self.update_log))
         result.epoch = self.epoch
         for future in futures:
@@ -284,6 +274,6 @@ class UpdateCoordinator:
         return dropped
 
     async def refresh_storage(self) -> None:
-        """Re-pack the paged files exclusively (clears the decoded cache)."""
+        """Re-pack the paged files exclusively."""
         async with self.lock.write():
             self.index.refresh_storage()

@@ -95,6 +95,15 @@ class _BadRequest(Exception):
     """Maps to HTTP 400 with its message."""
 
 
+class _FramingError(Exception):
+    """A request whose body cannot be framed: answered with ``status``,
+    then the connection closes (the stream position is unknown)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 def _require(params: dict, name: str):
     try:
         return params[name]
@@ -767,7 +776,12 @@ class QueryServer:
             return 500, {"error": "internal error"}, "application/json"
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one HTTP/1.1 request; None at EOF / on a framing error.
+        """Parse one HTTP/1.1 request; None at EOF / on a broken header block.
+
+        A ``Content-Length`` that is not a non-negative integer raises
+        :class:`_FramingError` (400), one above ``_MAX_BODY`` raises it
+        with 413, so the client gets a reply instead of a dropped
+        connection.
 
         The whole header block is consumed with a single ``readuntil``
         (one await on a warm keep-alive connection) — this path runs for
@@ -792,12 +806,19 @@ class QueryServer:
             if line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", 0) or 0)
-        if length:
-            if length > _MAX_BODY:
-                return None
-            body = await reader.readexactly(length)
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _FramingError(
+                400, f"invalid Content-Length {raw_length!r}"
+            )
+        length = int(raw_length)
+        if length > _MAX_BODY:
+            raise _FramingError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{_MAX_BODY}-byte limit",
+            )
+        body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
     @staticmethod
@@ -826,7 +847,17 @@ class QueryServer:
         self._connections.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _FramingError as exc:
+                    await self._write_response(
+                        writer,
+                        exc.status,
+                        {"error": str(exc)},
+                        "application/json",
+                        close=True,
+                    )
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -894,6 +925,7 @@ class QueryServer:
         400: "Bad Request",
         404: "Not Found",
         405: "Method Not Allowed",
+        413: "Content Too Large",
         429: "Too Many Requests",
         500: "Internal Server Error",
         503: "Service Unavailable",

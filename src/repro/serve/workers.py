@@ -11,8 +11,9 @@ kernel page cache no matter how many workers serve from them, and no
 index is ever pickled across the process boundary.
 
 Consistency with §5.4 live updates uses an epoch-stamped replay log.
-The coordinator bumps ``epoch`` and appends ``(epoch, op, u, v, weight)``
-for every successful edge mutation; every batch dispatched to the pool
+The coordinator bumps ``epoch`` and appends one
+``(epoch, "changeset", deltas, 0, None)`` entry per applied changeset;
+every batch dispatched to the pool
 carries the coordinator's current epoch plus the log tail, and
 :func:`run_batch` replays any entries this worker has not yet applied
 before answering.  Copy-on-write mapping makes the replay private: the
@@ -104,38 +105,38 @@ def warm() -> int:
     return _STATE["epoch"]
 
 
-def _catch_up(index, epoch: int, log) -> None:
-    """Replay update-log entries this worker has not applied yet.
+def _unapplied(applied: int, epoch: int, log):
+    """The changesets of ``log`` that move a replica from ``applied`` to
+    ``epoch``, as ``(entry_epoch, deltas)`` in log order.
 
-    ``log`` holds ``(entry_epoch, op, u, v, weight)`` tuples sorted by
-    epoch — ``op == "changeset"`` carries a whole coalesced batch in
-    ``u`` (its ``(op, u, v, weight)`` delta tuples) and is applied
-    through the same ``apply_updates`` pipeline the coordinator used.
-    Entries at or below our applied epoch are skipped, entries beyond
-    the batch's target epoch are ignored (they belong to updates that
-    committed after this batch was gated).
+    ``log`` holds ``(entry_epoch, "changeset", deltas, 0, None)`` entries
+    sorted by epoch, ``deltas`` being the changeset's ``(op, u, v,
+    weight)`` tuples.  Entries at or below ``applied`` are skipped,
+    entries beyond the batch's target ``epoch`` are ignored (they belong
+    to updates that committed after this batch was gated).  Raises when
+    the log no longer reaches back to ``applied``.
     """
-    applied = _STATE["epoch"]
-    if applied >= epoch:
-        return
-    for entry_epoch, op, u, v, weight in log:
+    reached = applied
+    for entry_epoch, _, deltas, _, _ in log:
         if entry_epoch <= applied or entry_epoch > epoch:
             continue
-        if op == "changeset":
-            index.apply_updates(u)
-        elif op == "add":
-            index.add_edge(u, v, weight)
-        elif op == "remove":
-            index.remove_edge(u, v)
-        else:
-            index.set_edge_weight(u, v, weight)
-        applied = entry_epoch
-    if applied < epoch:
+        yield entry_epoch, deltas
+        reached = entry_epoch
+    if reached < epoch:
         raise RuntimeError(
-            f"worker cannot reach epoch {epoch} from {applied}: "
+            f"worker cannot reach epoch {epoch} from {reached}: "
             f"update log was truncated"
         )
-    _STATE["epoch"] = applied
+
+
+def _catch_up(index, epoch: int, log) -> None:
+    """Replay the changesets this worker has not applied yet, through the
+    same ``apply_updates`` pipeline the coordinator used."""
+    if _STATE["epoch"] >= epoch:
+        return
+    for entry_epoch, deltas in _unapplied(_STATE["epoch"], epoch, log):
+        index.apply_updates(deltas)
+        _STATE["epoch"] = entry_epoch
 
 
 def run_batch(epoch: int, log, kind: str, nodes, params) -> tuple:
@@ -239,27 +240,14 @@ def _catch_up_shard(worker, epoch: int, log) -> None:
     Every entry advances the applied epoch regardless of ownership, so
     the worker stays in lockstep with the coordinator's log.
     """
-    applied = _SHARD_STATE["epoch"]
-    if applied >= epoch:
+    if _SHARD_STATE["epoch"] >= epoch:
         return
-    for entry_epoch, op, u, v, weight in log:
-        if entry_epoch <= applied or entry_epoch > epoch:
-            continue
-        if op == "changeset":
-            # A coalesced batch: route each delta exactly as a bare
-            # entry would be (deltas are canonically ordered, so every
-            # replica promotes pseudo objects in the same order).
-            for delta_op, du, dv, dw in u:
-                _apply_shard_delta(worker, delta_op, du, dv, dw)
-        else:
+    for entry_epoch, deltas in _unapplied(_SHARD_STATE["epoch"], epoch, log):
+        # Deltas are canonically ordered, so every replica promotes
+        # pseudo objects in the same order.
+        for op, u, v, weight in deltas:
             _apply_shard_delta(worker, op, u, v, weight)
-        applied = entry_epoch
-    if applied < epoch:
-        raise RuntimeError(
-            f"worker cannot reach epoch {epoch} from {applied}: "
-            f"update log was truncated"
-        )
-    _SHARD_STATE["epoch"] = applied
+        _SHARD_STATE["epoch"] = entry_epoch
 
 
 def run_shard_rows(epoch: int, log, local_nodes) -> tuple:

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.categories import CategoryPartition
+from repro.core.persistence import saved_query_engine
 from repro.errors import PersistenceError
 from repro.network.io import (
     load_dataset,
@@ -242,7 +243,7 @@ def load_sharded_index(directory: str | Path, meta: dict[str, str]):
         shards,
         drop_last_category_pairs=meta.get("drop_last", "1") == "1",
         stored_kind=meta.get("encoding", "compressed"),
-        query_engine=meta.get("query_engine", "vectorized"),
+        query_engine=saved_query_engine(meta),
         knn_refine=meta.get("knn_refine", "pruned"),
     )
 

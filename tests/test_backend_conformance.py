@@ -36,10 +36,11 @@ from repro.shard import ShardedSignatureIndex
 
 BACKEND_NAMES = sorted(BACKENDS)
 
-#: Every ``apply_updates`` implementation: the signature index under
-#: both query engines, the sharded router, and the two hierarchy
-#: backends.  The update-validation battery below runs against all of
-#: them so rejection behavior cannot drift apart.
+#: Every ``apply_updates`` implementation: the signature index built in
+#: memory and mapped from a format-v2 ("columnar") snapshot, the sharded
+#: router, and the two hierarchy backends.  The update-validation battery
+#: below runs against all of them so rejection behavior cannot drift
+#: apart.
 UPDATE_IMPLEMENTATIONS = ("signature", "columnar", "sharded", "ch", "hub")
 
 SAMPLE_NODES = list(range(0, 250, 13))
@@ -278,22 +279,26 @@ def test_updates_rebuild_to_exact_answers(name):
 # §5.4 updates: aligned validation across every implementation
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=UPDATE_IMPLEMENTATIONS)
-def updatable(request, planar):
+def updatable(request, planar, tmp_path_factory):
     """One instance of each ``apply_updates`` implementation.
 
     Module-scoped deliberately: every test here asserts *rejection*,
     which must leave the index untouched, so sharing is safe — and the
     sharing itself re-checks the no-mutation contract test over test.
+    ``"columnar"`` is a signature index mapped from a format-v2 snapshot.
     """
     network, dataset = planar
     name = request.param
     if name == "signature":
         return SignatureIndex.build(network.copy(), dataset, keep_trees=True)
     if name == "columnar":
-        return SignatureIndex.build(
-            network.copy(), dataset, keep_trees=True,
-            query_engine="columnar",
+        directory = tmp_path_factory.mktemp("v2")
+        save_index(
+            SignatureIndex.build(network.copy(), dataset, keep_trees=True),
+            directory,
+            format=2,
         )
+        return load_index(directory)
     if name == "sharded":
         return ShardedSignatureIndex.build(
             network.copy(), dataset, num_shards=2

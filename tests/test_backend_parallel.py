@@ -1,11 +1,10 @@
-"""Parallel-build determinism and batch-kernel equivalence (PR 9).
+"""Hierarchy build provenance and batch-kernel equivalence.
 
-The round-based contraction and the two-phase label distillation promise
-**bit-identical output for any worker count** — not "equivalent", the
-same bytes.  These generative tests pin that promise on random planar
-networks (with ``parallel_threshold=1`` so even tiny graphs actually
-exercise the process pools), and pin the vectorized batch label-join to
-the scalar sorted-merge it replaces, including disconnected pairs.
+Pins the vectorized batch label-join to the scalar sorted-merge it
+replaces, including disconnected pairs, and the build parameters a
+CH/hub snapshot persists — including snapshots written while the
+hierarchy builds still ran in process pools, whose ``build_workers``
+meta line is now ignored.
 """
 
 from __future__ import annotations
@@ -14,35 +13,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends.base import batch_label_join_csr, label_join
 from repro.backends.ch import CHIndex, ContractionHierarchy
 from repro.backends.hub_labels import HubLabelIndex, build_labels
+from repro.core.persistence import load_index, save_index
 from repro.errors import DisconnectedError
 from repro.network.datasets import ObjectDataset, uniform_dataset
 from repro.network.generators import random_planar_network
 from repro.network.graph import RoadNetwork
-
-WORKER_COUNTS = (2, 4)
-
-_BUILD_SETTINGS = settings(
-    max_examples=5,
-    deadline=None,  # process pools make wall-clock meaningless
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
-def _arrays_of(hierarchy, labels):
-    return (
-        hierarchy.order,
-        hierarchy.up_indptr,
-        hierarchy.up_targets,
-        hierarchy.up_weights,
-        *labels,
-    )
-
 
 def _two_component_network() -> RoadNetwork:
     """Two separate paths: 0-1-2 and 3-4."""
@@ -54,75 +35,39 @@ def _two_component_network() -> RoadNetwork:
 
 
 class TestParallelBuildDeterminism:
-    @_BUILD_SETTINGS
-    @given(
-        num_nodes=st.integers(30, 120),
-        seed=st.integers(0, 10_000),
-    )
-    def test_hierarchy_and_labels_bit_identical(self, num_nodes, seed):
-        network = random_planar_network(num_nodes, seed=seed)
-        serial_h = ContractionHierarchy.build(network, workers=1)
-        serial_l = build_labels(serial_h, workers=1)
-        for workers in WORKER_COUNTS:
-            parallel_h = ContractionHierarchy.build(
-                network, workers=workers, parallel_threshold=1
-            )
-            parallel_l = build_labels(
-                parallel_h, workers=workers, parallel_threshold=1
-            )
-            assert parallel_h.num_shortcuts == serial_h.num_shortcuts
-            assert parallel_h.rounds == serial_h.rounds
-            for a, b in zip(
-                _arrays_of(serial_h, serial_l),
-                _arrays_of(parallel_h, parallel_l),
-            ):
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-    def test_persisted_snapshots_identical_modulo_provenance(self, tmp_path):
-        """Saving a serial and a parallel build yields the same bytes in
-        every array file; only the ``build_workers`` provenance line in
-        ``meta.txt`` may differ."""
-        from repro.core.persistence import save_index
-
-        network = random_planar_network(150, seed=99)
-        dataset = uniform_dataset(network, density=0.05, seed=5)
-        for cls, name in ((CHIndex, "ch"), (HubLabelIndex, "hub")):
-            serial_dir = tmp_path / f"{name}-serial"
-            parallel_dir = tmp_path / f"{name}-parallel"
-            save_index(cls.build(network, dataset, workers=1), serial_dir)
-            save_index(
-                cls.build(network, dataset, workers=2, parallel_threshold=1),
-                parallel_dir,
-            )
-            serial_bins = sorted((serial_dir / "arrays").glob("*.bin"))
-            parallel_bins = sorted((parallel_dir / "arrays").glob("*.bin"))
-            assert [p.name for p in serial_bins] == [
-                p.name for p in parallel_bins
-            ]
-            for a, b in zip(serial_bins, parallel_bins):
-                assert a.read_bytes() == b.read_bytes(), a.name
-            strip = lambda path: [
-                line
-                for line in (path / "meta.txt").read_text().splitlines()
-                if not line.startswith("build_workers ")
-            ]
-            assert strip(serial_dir) == strip(parallel_dir)
+    """Persisted build parameters.  (The class name predates the removal
+    of the process-pool builds; the tests pin what a snapshot keeps.)"""
 
     def test_settle_cap_round_trips_through_persistence(self, tmp_path):
         network = random_planar_network(80, seed=3)
         dataset = uniform_dataset(network, density=0.05, seed=3)
-        from repro.core.persistence import load_index
-
-        from repro.core.persistence import save_index
-
-        index = HubLabelIndex.build(
-            network, dataset, settle_cap=17, workers=2, parallel_threshold=1
-        )
+        index = HubLabelIndex.build(network, dataset, settle_cap=17)
         save_index(index, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx")
         assert loaded.settle_cap == 17
-        assert loaded.build_workers == 2
         assert loaded.stats()["settle_cap"] == 17
+
+    @pytest.mark.parametrize("cls", [CHIndex, HubLabelIndex])
+    def test_snapshot_with_build_workers_line_loads(self, tmp_path, cls):
+        """A snapshot whose meta.txt carries ``build_workers 4`` loads
+        and answers bit-identically to the index it was saved from."""
+        network = random_planar_network(120, seed=8)
+        dataset = uniform_dataset(network, density=0.05, seed=8)
+        index = cls.build(network, dataset)
+        save_index(index, tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.txt"
+        meta_path.write_text(meta_path.read_text() + "build_workers 4\n")
+        loaded = load_index(tmp_path / "idx")
+        nodes = list(range(0, network.num_nodes, 7))
+        objects = [dataset[i % len(dataset)] for i in range(len(nodes))]
+        assert loaded.range_query_batch(nodes, 40.0) == (
+            index.range_query_batch(nodes, 40.0)
+        )
+        assert loaded.knn_batch(nodes, 3) == index.knn_batch(nodes, 3)
+        assert loaded.distance_batch(nodes, objects) == (
+            index.distance_batch(nodes, objects)
+        )
+        assert "build_workers" not in loaded.stats()
 
 
 class TestBatchKernelEquivalence:

@@ -61,30 +61,6 @@ class TestBackendEquivalence:
                     neighbor, weight = small_net.neighbor_at(node, link)
                     assert ground_truth[rank, neighbor] + weight == truth
 
-    def test_parallel_bit_identical_to_python(self, small_net, small_objs):
-        """The process-pool fan-out merges in rank order: same trees, not
-        just same distances."""
-        d_py, p_py = run_construction_sweep(
-            small_net, small_objs, backend="python"
-        )
-        d_par, p_par = run_construction_sweep(
-            small_net, small_objs, backend="python-parallel", workers=2
-        )
-        assert np.array_equal(d_py, d_par)
-        assert np.array_equal(p_py, p_par)
-
-    def test_parallel_single_worker_falls_back_to_serial(
-        self, small_net, small_objs
-    ):
-        d_py, p_py = run_construction_sweep(
-            small_net, small_objs, backend="python"
-        )
-        d_one, p_one = run_construction_sweep(
-            small_net, small_objs, backend="python-parallel", workers=1
-        )
-        assert np.array_equal(d_py, d_one)
-        assert np.array_equal(p_py, p_one)
-
     def test_unknown_backend_rejected(self, small_net, small_objs):
         with pytest.raises(IndexError_):
             run_construction_sweep(small_net, small_objs, backend="gpu")

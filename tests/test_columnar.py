@@ -1,11 +1,11 @@
-"""The zero-copy columnar store: construction, binding, and equivalence.
+"""The zero-copy columnar store (format v2): construction and equivalence.
 
-The store is correct iff it is invisible: every query through the
-columnar engine must return exactly what the scalar reference and the
-vectorized engine return, charge the same page accesses, and tally the
-same §5.3 decompressions — and §5.4 updates must flow through without
-any explicit invalidation, because the store's arrays *are* the table's
-arrays (one memory, rebound on every structural rebuild).
+The store is correct iff it is invisible: an index loaded from a v2
+snapshot — its signature table backed by the mapped, width-minimal
+arrays — must answer every query exactly as the scalar reference and
+the in-memory vectorized engine do, charge the same page accesses, and
+tally the same §5.3 decompressions, including after §5.4 updates write
+into the copy-on-write mapping.
 """
 
 from __future__ import annotations
@@ -13,22 +13,39 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ColumnarSignatureStore, KnnType, SignatureIndex
+from repro.core import (
+    ColumnarSignatureStore,
+    KnnType,
+    SignatureIndex,
+    queries,
+    vectorized,
+)
 from repro.core.categories import ExponentialPartition
+from repro.core.persistence import load_index, save_index
+from repro.core.vectorized import decode_signature_rows
 from repro.errors import IndexError_, StorageError
 
-ENGINES = ("scalar", "vectorized", "columnar")
+
+def _via_v2(index, directory):
+    """``index`` saved as format v2 and mapped back."""
+    save_index(index, directory, format=2)
+    return load_index(directory)
 
 
 @pytest.fixture(scope="module")
-def engine_indexes(small_net, small_objs):
-    """One index per engine over the same network/dataset."""
-    return {
+def engine_indexes(small_net, small_objs, tmp_path_factory):
+    """Both engines over the same network/dataset, plus ``"columnar"``:
+    the vectorized engine on an index mapped from a v2 snapshot."""
+    indexes = {
         engine: SignatureIndex.build(
             small_net, small_objs, backend="scipy", query_engine=engine
         )
-        for engine in ENGINES
+        for engine in ("scalar", "vectorized")
     }
+    indexes["columnar"] = _via_v2(
+        indexes["vectorized"], tmp_path_factory.mktemp("v2")
+    )
+    return indexes
 
 
 # ----------------------------------------------------------------------
@@ -36,7 +53,7 @@ def engine_indexes(small_net, small_objs):
 # ----------------------------------------------------------------------
 class TestStoreConstruction:
     def test_from_index_shapes(self, sig_index):
-        store = ColumnarSignatureStore.from_index(sig_index, bind=False)
+        store = ColumnarSignatureStore.from_index(sig_index)
         n = sig_index.network.num_nodes
         d = len(sig_index.dataset)
         assert store.categories.shape == (n, d)
@@ -47,7 +64,7 @@ class TestStoreConstruction:
         assert store.num_nodes == n and store.num_objects == d
 
     def test_width_minimal_dtypes(self, sig_index):
-        store = ColumnarSignatureStore.from_index(sig_index, bind=False)
+        store = ColumnarSignatureStore.from_index(sig_index)
         unreachable = sig_index.partition.unreachable
         assert store.categories.dtype == np.min_scalar_type(unreachable)
         assert store.links.dtype in (np.int16, np.int32)
@@ -60,27 +77,12 @@ class TestStoreConstruction:
         index = SignatureIndex.build(
             small_net, small_objs, partition, backend="scipy"
         )
-        store = ColumnarSignatureStore.from_index(index, bind=False)
+        store = ColumnarSignatureStore.from_index(index)
         assert partition.unreachable > 255
         assert store.categories.dtype.itemsize >= 2
 
-    def test_bind_rebinds_table_arrays(self, small_net, small_objs):
-        index = SignatureIndex.build(small_net, small_objs, backend="scipy")
-        index.enable_columnar()
-        assert index.columnar is not None
-        assert index.table.categories is index.columnar.categories
-        assert index.table.links is index.columnar.links
-        assert index.table.compressed is index.columnar.compressed
-
-    def test_disable_restores_vectorized(self, small_net, small_objs):
-        index = SignatureIndex.build(small_net, small_objs, backend="scipy")
-        index.enable_columnar()
-        index.disable_columnar()
-        assert index.columnar is None
-        assert index.query_engine == "vectorized"
-
     def test_mismatched_shapes_rejected(self, sig_index):
-        store = ColumnarSignatureStore.from_index(sig_index, bind=False)
+        store = ColumnarSignatureStore.from_index(sig_index)
         with pytest.raises(IndexError_):
             ColumnarSignatureStore(
                 categories=store.categories,
@@ -96,13 +98,10 @@ class TestStoreConstruction:
                 drop_last=store.drop_last,
             )
 
-    def test_out_of_range_block_read_raises(self, small_net, small_objs):
-        index = SignatureIndex.build(
-            small_net, small_objs, backend="scipy", query_engine="columnar"
-        )
-        bad = np.array([small_net.num_nodes], dtype=np.int64)
+    def test_out_of_range_block_read_raises(self, engine_indexes, small_net):
+        index = engine_indexes["columnar"]
         with pytest.raises(StorageError):
-            index.columnar.category_block(index, bad)
+            decode_signature_rows(index, [0, small_net.num_nodes])
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +113,7 @@ def _reset(index):
 
 
 class TestEngineEquivalence:
-    """All three engines answer identically and cost identically."""
+    """Both engines and the v2-mapped index answer and cost identically."""
 
     RADII = (5.0, 15.0, 40.0)
 
@@ -173,25 +172,24 @@ class TestEngineEquivalence:
 
 
 # ----------------------------------------------------------------------
-# staleness regression: §5.4 updates vs both fast paths
+# staleness regression: §5.4 updates on the mapped arrays
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("setup", ["decoded_cache", "columnar"])
+@pytest.mark.parametrize("setup", ["built", "columnar"])
 def test_no_stale_categories_after_weight_update(
-    small_net, small_objs, setup
+    small_net, small_objs, tmp_path, setup
 ):
-    """An edge-weight update must never leave either fast path serving
-    the pre-update categories (the decoded-row cache invalidates per
-    touched node; the columnar store shares the table's memory)."""
-    network = small_net.copy()
+    """An edge-weight update must never leave batch reads serving the
+    pre-update categories — on a freshly built index, and on one mapped
+    from a v2 snapshot, where the update writes the copy-on-write arrays
+    the reads index."""
     index = SignatureIndex.build(
-        network, small_objs, backend="scipy", keep_trees=True
+        small_net.copy(), small_objs, backend="scipy", keep_trees=True
     )
-    if setup == "decoded_cache":
-        index.enable_decoded_cache(None)
-    else:
-        index.enable_columnar()
+    if setup == "columnar":
+        index = _via_v2(index, tmp_path / setup)
+    network = index.network
     nodes = list(range(0, network.num_nodes, 5))
-    index.range_query_batch(nodes, 30.0)  # warm cache / touch store
+    index.range_query_batch(nodes, 30.0)
 
     u, (v, w) = 0, network.neighbors(0)[0]
     index.set_edge_weight(u, v, w * 4.0)
@@ -206,25 +204,38 @@ def test_no_stale_categories_after_weight_update(
     assert got_knn == want_knn
 
 
-def test_structural_update_rebinds_store(small_net, small_objs):
-    """add_object / remove_object rebuild arrays; the store must follow."""
-    network = small_net.copy()
-    index = SignatureIndex.build(
-        network, small_objs, backend="scipy", keep_trees=True
+def test_structural_update_rebinds_store(small_net, small_objs, tmp_path):
+    """add_object / remove_object on a v2-mapped index replace the mapped
+    table arrays; queries must see the new object set at once and agree
+    with the scalar engine."""
+    index = _via_v2(
+        SignatureIndex.build(
+            small_net.copy(), small_objs, backend="scipy", keep_trees=True
+        ),
+        tmp_path / "v2",
     )
-    index.enable_columnar()
     new_object = next(
         node
-        for node in range(network.num_nodes)
+        for node in range(small_net.num_nodes)
         if node not in set(small_objs)
     )
+    nodes = list(range(0, small_net.num_nodes, 5))
+
+    def assert_engines_agree():
+        want = [
+            queries.range_query(index, node, 20.0, with_distances=True)
+            for node in nodes
+        ]
+        assert vectorized.range_query_batch(
+            index, nodes, 20.0, with_distances=True
+        ) == want
+
     index.add_object(new_object)
-    assert index.table.categories is index.columnar.categories
-    assert index.columnar.num_objects == len(small_objs) + 1
-    # And the query path sees the new object immediately.
-    hits = index.range_query(new_object, 0.0)
-    assert new_object in hits
+    assert index.table.categories.shape[1] == len(small_objs) + 1
+    assert new_object in index.range_query(new_object, 0.0)
+    assert_engines_agree()
 
     index.remove_object(new_object)
-    assert index.columnar.num_objects == len(small_objs)
-    assert index.table.categories is index.columnar.categories
+    assert index.table.categories.shape[1] == len(small_objs)
+    assert new_object not in index.range_query(new_object, 0.0)
+    assert_engines_agree()

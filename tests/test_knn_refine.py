@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import SignatureIndex
 from repro.core import knn_refine, queries, vectorized
+from repro.core.persistence import load_index, save_index
 from repro.core.queries import KnnType
 from repro.core.signature import ObjectDistanceTable, SignatureTable
 from repro.errors import IndexError_, QueryError
@@ -75,13 +76,23 @@ def refine_oracle(refine_net, refine_objs):
 @pytest.fixture(
     scope="module", params=["scalar", "vectorized", "columnar"]
 )
-def engine_index(request, refine_net, refine_objs):
-    return SignatureIndex.build(
-        refine_net,
-        refine_objs,
-        backend="scipy",
-        query_engine=request.param,
+def engine_index(request, refine_net, refine_objs, tmp_path_factory):
+    """One index per engine; ``"columnar"`` is the vectorized engine on
+    an index mapped from a format-v2 snapshot."""
+    if request.param != "columnar":
+        return SignatureIndex.build(
+            refine_net,
+            refine_objs,
+            backend="scipy",
+            query_engine=request.param,
+        )
+    directory = tmp_path_factory.mktemp("v2")
+    save_index(
+        SignatureIndex.build(refine_net, refine_objs, backend="scipy"),
+        directory,
+        format=2,
     )
+    return load_index(directory)
 
 
 def sample_nodes(network, count, seed=0):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SignatureIndex
+from repro.core import KnnType, SignatureIndex
 from repro.core.persistence import (
     deserialize_table,
     load_index,
@@ -124,7 +124,7 @@ class TestIndexRoundTrip:
 
 
 class TestEngineFidelity:
-    """Save/load restores query-engine choice and cache enablement."""
+    """Save/load restores the query-engine choice."""
 
     def test_scalar_engine_round_trips(self, small_net, small_objs, tmp_path):
         index = SignatureIndex.build(
@@ -134,32 +134,61 @@ class TestEngineFidelity:
         loaded = load_index(tmp_path / "idx")
         assert loaded.query_engine == "scalar"
 
-    def test_bounded_decoded_cache_round_trips(self, sig_index, tmp_path):
-        assert sig_index.decoded.row_caching is False
-        save_index(sig_index, tmp_path / "plain")
-        assert load_index(tmp_path / "plain").decoded.row_caching is False
-
-        index = load_index(tmp_path / "plain")
-        index.enable_decoded_cache(48)
-        save_index(index, tmp_path / "cached")
-        loaded = load_index(tmp_path / "cached")
+    @staticmethod
+    def _assert_retired_lines_load(
+        sig_index, directory, *, format, engine, cache_spec
+    ):
+        """Save ``sig_index`` with the meta lines older releases wrote for
+        a ``decoded_cache`` and a ``query_engine`` choice; the snapshot
+        must load on the vectorized engine, answer bit-identically to its
+        source index, and drop the retired lines when saved again."""
+        save_index(sig_index, directory, format=format)
+        meta_path = directory / "meta.txt"
+        lines = [
+            f"query_engine {engine}" if line.startswith("query_engine")
+            else line
+            for line in meta_path.read_text().splitlines()
+        ]
+        meta_path.write_text(
+            "\n".join(lines + [f"decoded_cache {cache_spec}"]) + "\n"
+        )
+        loaded = load_index(directory)
         assert loaded.query_engine == "vectorized"
-        assert loaded.decoded.row_caching is True
-        assert loaded.decoded.capacity == 48
-        # And the restored cache actually caches.
-        loaded.range_query_batch([0, 1, 2], 100.0)
-        loaded.range_query_batch([0, 1, 2], 100.0)
-        assert loaded.decoded.hits > 0
+        nodes = list(range(0, sig_index.network.num_nodes, 9))
+        for index in (sig_index, loaded):
+            index.reset_counters()
+        want = (
+            sig_index.range_query_batch(nodes, 100.0, with_distances=True),
+            sig_index.knn_batch(nodes, 3, knn_type=KnnType.EXACT_DISTANCES),
+            sig_index.counter.logical_reads,
+            sig_index.decompressions,
+        )
+        got = (
+            loaded.range_query_batch(nodes, 100.0, with_distances=True),
+            loaded.knn_batch(nodes, 3, knn_type=KnnType.EXACT_DISTANCES),
+            loaded.counter.logical_reads,
+            loaded.decompressions,
+        )
+        assert got == want
+        save_index(loaded, directory)
+        meta = meta_path.read_text()
+        assert "query_engine vectorized" in meta
+        assert "decoded_cache" not in meta
+
+    def test_bounded_decoded_cache_round_trips(self, sig_index, tmp_path):
+        """A v2 snapshot saved with ``query_engine columnar`` and a
+        48-row decoded cache (engine and cache are both retired)."""
+        self._assert_retired_lines_load(
+            sig_index, tmp_path / "idx",
+            format=2, engine="columnar", cache_spec="48",
+        )
 
     def test_unbounded_decoded_cache_round_trips(self, sig_index, tmp_path):
-        index = SignatureIndex.build(
-            sig_index.network, sig_index.dataset, backend="scipy"
+        """A v1 snapshot saved with an unbounded decoded cache."""
+        self._assert_retired_lines_load(
+            sig_index, tmp_path / "idx",
+            format=1, engine="vectorized", cache_spec="unbounded",
         )
-        index.enable_decoded_cache(None)
-        save_index(index, tmp_path / "idx")
-        loaded = load_index(tmp_path / "idx")
-        assert loaded.decoded.row_caching is True
-        assert loaded.decoded.capacity is None
 
     def test_legacy_meta_without_engine_lines_loads(self, sig_index, tmp_path):
         """Indexes saved before these meta lines existed still load."""
@@ -173,4 +202,3 @@ class TestEngineFidelity:
         meta_path.write_text("\n".join(kept) + "\n")
         loaded = load_index(tmp_path / "idx")
         assert loaded.query_engine == "vectorized"
-        assert loaded.decoded.row_caching is False

@@ -83,12 +83,11 @@ class TestRoundTrip:
     def test_compact_cli_engine_switch(self, sig_index, tmp_path):
         save_index(sig_index, tmp_path / "idx", format=1)
         assert (
-            cli_main(["compact", str(tmp_path / "idx"), "--engine", "columnar"])
+            cli_main(["compact", str(tmp_path / "idx"), "--engine", "scalar"])
             == 0
         )
         loaded = load_index(tmp_path / "idx")
-        assert loaded.query_engine == "columnar"
-        assert loaded.columnar is not None
+        assert loaded.query_engine == "scalar"
 
     def test_object_distances_preserved_exactly(self, sig_index, tmp_path):
         save_index(sig_index, tmp_path / "idx")

@@ -290,6 +290,38 @@ class TestValidation:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            (b"abc", b"400"),
+            (b"-5", b"400"),
+            (b"%d" % ((1 << 20) + 1), b"413"),
+        ],
+    )
+    def test_unframeable_body_is_answered_then_closed(
+        self, sig_index, length, status
+    ):
+        async def main():
+            async with serving(sig_index) as (server, client):
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                writer.write(
+                    b"POST /v1/range HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n"
+                )
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.read(), timeout=5)
+                writer.close()
+                await writer.wait_closed()
+                return reply
+
+        reply = asyncio.run(main())
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split(b" ")[1] == status
+        assert b"Connection: close" in rest
+        assert b'"error"' in rest
+
     def test_unknown_path_404_and_wrong_method_405(self, sig_index):
         async def main():
             async with serving(sig_index) as (server, client):

@@ -47,6 +47,11 @@ def _build_pair():
     return network, dataset, sharded
 
 
+def _entry(epoch, op, u, v, weight):
+    """A one-delta update-log entry, as the coordinator appends it."""
+    return (epoch, "changeset", ((op, u, v, weight),), 0, None)
+
+
 class TestShardWorkerModule:
     """Shard worker entry points, in-process (no fork needed)."""
 
@@ -86,7 +91,7 @@ class TestShardWorkerModule:
                 and int(sharded.assignment[e.v]) == shard_id
             )
             sharded.set_edge_weight(edge.u, edge.v, edge.weight * 3.0)
-            log = [(1, "set_weight", edge.u, edge.v, edge.weight * 3.0)]
+            log = [_entry(1, "set_weight", edge.u, edge.v, edge.weight * 3.0)]
 
             # Cut-edge reweight: a no-op for the shard, but the epoch
             # still advances in lockstep with the coordinator.
@@ -96,7 +101,7 @@ class TestShardWorkerModule:
                 if sharded.assignment[e.u] != sharded.assignment[e.v]
             )
             sharded.set_edge_weight(cut.u, cut.v, cut.weight * 2.0)
-            log.append((2, "set_weight", cut.u, cut.v, cut.weight * 2.0))
+            log.append(_entry(2, "set_weight", cut.u, cut.v, cut.weight * 2.0))
 
             rows, telemetry = worker_mod.run_shard_rows(
                 2, tuple(log), locals_
@@ -123,7 +128,7 @@ class TestShardWorkerModule:
                 and not network.has_edge(u, n)
             )
             sharded.add_edge(u, v, 6.0)
-            log.append((3, "add", u, v, 6.0))
+            log.append(_entry(3, "add", u, v, 6.0))
             worker_mod.run_shard_rows(3, tuple(log), locals_)
             assert u in worker.pseudo_rank
             assert worker.pseudo_rank == shard.pseudo_rank

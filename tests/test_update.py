@@ -1,6 +1,7 @@
 """Incremental updates (§5.4): every operation must equal a full rebuild."""
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core import SignatureIndex
 from repro.core.changeset import ChangeSet
-from repro.core.compression import compress_table
+from repro.core.compression import compress_table, resolve_category
+from repro.core.persistence import load_index, save_index
 from repro.core.signature import SignatureTable
 from repro.core.spanning_tree import NO_PARENT, ObjectSpanningTrees
 from repro.errors import QueryError, UpdateError
@@ -59,6 +61,17 @@ def assert_compression_matches_scratch(index):
     compress_table(scratch, index.object_table)
     np.testing.assert_array_equal(table.compressed, scratch.compressed)
     np.testing.assert_array_equal(table.bases, scratch.bases)
+
+
+def assert_stored_rows_are_logical(index):
+    """Every flagged component stores the category Definition 5.1
+    recovers from its base — the invariant that lets batch reads index
+    ``table.categories`` directly instead of decompressing."""
+    table = index.table
+    for node, rank in np.argwhere(table.compressed):
+        assert int(table.categories[node, rank]) == resolve_category(
+            table, index.object_table, int(node), int(rank)
+        ), (int(node), int(rank))
 
 
 def _pick_absent_edge(network, rng):
@@ -372,7 +385,15 @@ class TestInterleavedChangesets:
                 changeset = ChangeSet.build(deltas[:1])
             index.apply_updates(changeset)
             assert_compression_matches_scratch(index)
+            assert_stored_rows_are_logical(index)
         assert_equals_rebuild(index)
+        with tempfile.TemporaryDirectory() as directory:
+            save_index(index, directory, format=1)
+            loaded = load_index(directory)
+        assert_stored_rows_are_logical(loaded)
+        np.testing.assert_array_equal(
+            loaded.table.categories, index.table.categories
+        )
 
 
 def _dfs_subtree(parents, root):

@@ -20,6 +20,7 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import asyncio
+import tempfile
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from repro.backends import build_backend
 from repro.core import SignatureIndex
 from repro.core.changeset import ChangeSet, apply_changeset_to_network
+from repro.core.persistence import load_index, save_index
 from repro.errors import DatasetError, QueryError
 from repro.network import random_planar_network, uniform_dataset
 from repro.network.dijkstra import shortest_path_tree
@@ -46,16 +48,22 @@ def _world(seed: int = SEED):
     return network, dataset
 
 
-def _all_implementations(network, dataset):
-    """All five DistanceIndex implementations, repair paths forced on."""
+def _all_implementations(network, dataset, directory):
+    """All five DistanceIndex implementations, repair paths forced on.
+
+    ``"columnar"`` is a signature index mapped from a format-v2 snapshot
+    saved under ``directory``: updates write its copy-on-write arrays.
+    """
+    save_index(
+        SignatureIndex.build(network.copy(), dataset, keep_trees=True),
+        directory,
+        format=2,
+    )
     indexes = {
         "signature": SignatureIndex.build(
             network.copy(), dataset, keep_trees=True
         ),
-        "columnar": SignatureIndex.build(
-            network.copy(), dataset, keep_trees=True,
-            query_engine="columnar",
-        ),
+        "columnar": load_index(directory),
         "sharded": ShardedSignatureIndex.build(
             network.copy(), dataset, num_shards=3
         ),
@@ -150,17 +158,18 @@ class TestInterleavings:
     @given(seed=st.integers(0, 1000), steps=st.integers(1, 3))
     def test_all_five_implementations_track_the_oracle(self, seed, steps):
         network, dataset = _world()
-        indexes = _all_implementations(network, dataset)
-        oracle_net = network.copy()
-        rng = np.random.default_rng(seed)
-        for _ in range(steps):
-            changeset = _random_changeset(rng, oracle_net)
-            apply_changeset_to_network(oracle_net, changeset)
-            for index in indexes.values():
-                # Raw tuples on purpose: every entry point must coerce.
-                result = index.apply_updates(changeset.as_tuples())
-                assert result.applied == len(changeset)
-            _assert_oracle_equivalence(indexes, oracle_net, dataset)
+        with tempfile.TemporaryDirectory() as directory:
+            indexes = _all_implementations(network, dataset, directory)
+            oracle_net = network.copy()
+            rng = np.random.default_rng(seed)
+            for _ in range(steps):
+                changeset = _random_changeset(rng, oracle_net)
+                apply_changeset_to_network(oracle_net, changeset)
+                for index in indexes.values():
+                    # Raw tuples on purpose: every entry point must coerce.
+                    result = index.apply_updates(changeset.as_tuples())
+                    assert result.applied == len(changeset)
+                _assert_oracle_equivalence(indexes, oracle_net, dataset)
 
 
 class TestRepairVsRebuild:
@@ -275,7 +284,7 @@ class TestCoordinatorBatching:
         for (u, v), weight in zip(edges, (2.0, 3.0, 4.0, 5.0, 6.0, 7.0)):
             assert coordinator.index.network.edge_weight(u, v) == weight
 
-    def test_single_write_logs_legacy_tuple(self, serving_world):
+    def test_single_write_logs_a_changeset(self, serving_world):
         network, dataset = serving_world
         coordinator, _ = _coordinator(network, dataset)
         edge = sorted(
@@ -290,7 +299,10 @@ class TestCoordinatorBatching:
         result = asyncio.run(main())
         assert result.epoch == 1
         assert coordinator.update_log == [
-            (1, "set_weight", edge[0], edge[1], 3.25)
+            (
+                1, "changeset", (("set_weight", edge[0], edge[1], 3.25),),
+                0, None,
+            )
         ]
 
     def test_bad_request_is_a_query_error(self, serving_world):

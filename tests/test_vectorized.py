@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core import queries, vectorized
 from repro.core.index import SignatureIndex
 from repro.core.queries import KnnType
-from repro.core.vectorized import DecodedSignatureCache
 from repro.errors import IndexError_
 from repro.network import (
     ObjectDataset,
@@ -307,34 +306,12 @@ class TestDecoding:
 
 
 class TestDecodedCache:
-    def test_opt_in_and_hits(self):
-        _, _, _, vec = build_engines(5)
-        assert vec.decoded.row_caching is False
-        vec.enable_decoded_cache()
-        radius = 50.0
-        vec.range_query(1, radius)
-        assert vec.decoded.cached_rows == 1
-        vec.range_query(1, radius)
-        assert vec.decoded.hits >= 1
-        vec.disable_decoded_cache()
-        assert vec.decoded.cached_rows == 0
+    """Decoded rows never outlive an update.  (Named for the decoded-row
+    cache these tests once covered; batch reads now index the live table,
+    so the check is that vectorized answers equal the scalar path's after
+    every kind of §5.4 update.)"""
 
-    def test_capacity_evicts_lru(self):
-        cache = DecodedSignatureCache(capacity=2)
-        cache.row_caching = True
-        for node in (1, 2, 3):
-            cache.store_row(node, np.array([node]))
-        assert cache.cached_rows == 2
-        assert cache.get_row(1) is None  # evicted
-        assert cache.get_row(3) is not None
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(IndexError_):
-            DecodedSignatureCache(capacity=0)
-
-    def _assert_cache_consistent(self, vec):
-        """Cached vectorized answers must equal the (uncached) scalar path
-        reading the live tables — any stale row breaks this."""
+    def _assert_engines_agree(self, vec):
         finite = vec.trees.distances[np.isfinite(vec.trees.distances)]
         radius = float(np.median(finite)) if finite.size else 1.0
         for node in range(0, vec.network.num_nodes, 7):
@@ -343,46 +320,33 @@ class TestDecodedCache:
 
     def test_edge_updates_invalidate(self):
         network, objects, _, vec = build_engines(11)
-        vec.enable_decoded_cache()
         vectorized.range_query_batch(vec, list(range(network.num_nodes)), 40.0)
-        assert vec.decoded.cached_rows == network.num_nodes
 
         rng = np.random.default_rng(0)
         u = int(rng.integers(network.num_nodes))
         v = int((u + network.num_nodes // 2) % network.num_nodes)
         if not network.has_edge(u, v):
             vec.add_edge(u, v, 0.5)
-            self._assert_cache_consistent(vec)
+            self._assert_engines_agree(vec)
 
         edge = next(iter(network.edges()))
         vec.set_edge_weight(edge.u, edge.v, edge.weight * 3)
-        self._assert_cache_consistent(vec)
+        self._assert_engines_agree(vec)
 
         edge = next(iter(network.edges()))
         vec.remove_edge(edge.u, edge.v)
-        self._assert_cache_consistent(vec)
-
-    def test_refresh_storage_clears(self):
-        _, _, _, vec = build_engines(13)
-        vec.enable_decoded_cache()
-        vectorized.range_query_batch(vec, [0, 1, 2], 10.0)
-        assert vec.decoded.cached_rows == 3
-        vec.refresh_storage()
-        assert vec.decoded.cached_rows == 0
+        self._assert_engines_agree(vec)
 
     def test_object_updates_invalidate(self):
         network, objects, _, vec = build_engines(19)
-        vec.enable_decoded_cache()
         vectorized.range_query_batch(vec, list(range(network.num_nodes)), 40.0)
         free = next(
             node for node in range(network.num_nodes) if node not in objects
         )
         vec.add_object(free)
-        assert vec.decoded.cached_rows == 0
-        self._assert_cache_consistent(vec)
+        self._assert_engines_agree(vec)
         vec.remove_object(free)
-        assert vec.decoded.cached_rows == 0
-        self._assert_cache_consistent(vec)
+        self._assert_engines_agree(vec)
 
 
 class TestFacadeDispatch:
@@ -404,5 +368,6 @@ class TestFacadeDispatch:
     def test_unknown_engine_rejected(self):
         network = random_planar_network(30, seed=1)
         objects = uniform_dataset(network, density=0.2, seed=2)
-        with pytest.raises(IndexError_):
-            SignatureIndex.build(network, objects, query_engine="gpu")
+        for engine in ("gpu", "columnar"):
+            with pytest.raises(IndexError_):
+                SignatureIndex.build(network, objects, query_engine=engine)
