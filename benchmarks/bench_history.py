@@ -85,9 +85,6 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
             "scalar_pruned_pages": ("configs", "scalar", "pruned_pages"),
             "vectorized_pruned_pages": ("configs", "vectorized", "pruned_pages"),
         },
-        "ratio": {
-            "vectorized_speedup": ("configs", "vectorized", "speedup"),
-        },
         "qps": {
             "vectorized_pruned_qps": ("configs", "vectorized", "pruned_qps"),
         },

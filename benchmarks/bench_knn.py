@@ -1,35 +1,38 @@
-"""kNN head-to-head: lower-bound-pruned refinement vs the legacy path.
+"""kNN refinement bench: pages/query and qps of each index family's path.
 
 Not a paper figure — the regression harness for the kNN refinement core
-(:mod:`repro.core.knn_refine`).  One kNN workload runs twice per engine
-configuration over the same network, dataset, partition, and signature
-tables: once with ``knn_refine="pruned"`` (the default: vectorized §3.2
-observer-embedding bounds, best-k heap pruning, shared backtracking
-frontier) and once with ``knn_refine="legacy"`` (the original
-bucket-and-sort path).  The bench asserts the answers are *bit-identical*
-before reporting a single number, then reports the pages/query reduction
-and the qps change for three configurations:
+(:mod:`repro.core.knn_refine`: vectorized §3.2 observer-embedding
+bounds, best-k pruning, shared backtracking frontier).  One kNN workload
+runs over the same network, dataset, partition and signature tables in
+three configurations:
 
 * **scalar** — per-query :func:`repro.core.queries.knn_query`;
 * **vectorized** — one :meth:`knn_batch` call (the shared frontier also
   amortizes across queries here);
 * **shard4** — a 4-shard index.  Sharded kNN answers from stitched tree
-  rows, so its page charge is one signature record per query in *both*
-  modes; the pruned win there is remote-shard stitches skipped by the
-  per-shard lower bound (reported as ``shards_skipped``), not pages.
+  rows (Algorithm 6 on the exact global distance vector), so its page
+  charge is one signature record per query.
+
+Before a single number is reported, every answer of the identity sweep
+is checked against a Dijkstra oracle (the k smallest distances as a
+multiset, non-decreasing order for the ordered types, bitwise-exact
+type-1 distances), and the monolith engines' answers must equal shard4's
+— whose stitched-row Algorithm 4 sort is the tie-break reference.  Each
+configuration is then timed ``REPEATS`` times after a warm pass; qps is
+reported as the median with the spread of the repeats.
 
 Writes machine-readable ``BENCH_knn.json`` at the repo root.  The quick
-mode doubles as the CI smoke: pruned-path pages/query must stay under
-the checked-in ``QUICK_PAGE_BUDGET`` so a pruning regression fails CI.
+mode doubles as the CI smoke: pages/query must stay under the
+checked-in ``QUICK_PAGE_BUDGET`` so a pruning regression fails CI.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 #: ``--quick`` (the CI smoke mode) shrinks every scale knob.  Must be set
@@ -45,6 +48,7 @@ _REPO_ROOT = str(Path(__file__).resolve().parent.parent)
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from benchmarks.conftest import (  # noqa: E402
@@ -53,7 +57,8 @@ from benchmarks.conftest import (  # noqa: E402
     RESULTS_DIR,
     write_result,
 )
-from repro.core import SignatureIndex  # noqa: E402
+from repro.core import KnnType, SignatureIndex  # noqa: E402
+from repro.network.dijkstra import shortest_path_tree  # noqa: E402
 from repro.shard import ShardedSignatureIndex  # noqa: E402
 from repro.workloads import (  # noqa: E402
     Measurement,
@@ -67,35 +72,18 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_knn.json"
 
 DENSITY_LABEL = "0.01"
 KNN_K = 5
-#: k values the bit-identity check sweeps (beyond the measured KNN_K):
-#: k=1 exercises the single-winner tie-break, the largest exceeds the
+#: k values the oracle check sweeps (beyond the measured KNN_K): k=1
+#: exercises the single-winner tie-break, the largest exceeds the
 #: quick-mode object count so the k >= D degenerate path is covered too.
 IDENTITY_KS = (1, 5, 25)
+#: Timed passes per configuration (after one warm pass).
+REPEATS = 3 if QUICK else 5
 
-#: The acceptance bar at bench scale (N=6000): the pruned path must read
-#: ≥10× fewer pages per kNN query than legacy on the monolith engines.
-#: The quick smoke runs a far smaller problem (≈12 objects, where the
-#: boundary bucket is a large fraction of the dataset and bounds are
-#: weak), so its bar is lower.
-MIN_PAGE_REDUCTION = 5.0 if QUICK else 10.0
-
-#: CI regression budget: quick-mode pruned-path pages/query per monolith
+#: CI regression budget: quick-mode pages/query per monolith
 #: configuration.  Measured ≈95 (scalar) / ≈30 (batch engines) on the
 #: 1200-node / 25-query smoke; the budget leaves ~50% headroom for
-#: noise, not for regressions (legacy reads ≈1650 pages/query on the
-#: same workload).
+#: noise, not for regressions.
 QUICK_PAGE_BUDGET = 140.0
-
-
-@contextmanager
-def _mode(index, mode: str):
-    """Temporarily flip the ``knn_refine`` knob on ``index``."""
-    previous = index.knn_refine
-    index.knn_refine = mode
-    try:
-        yield
-    finally:
-        index.knn_refine = previous
 
 
 @pytest.fixture(scope="module")
@@ -126,46 +114,41 @@ def knn_setup(query_suite):
     return scalar, vec, shard4
 
 
-def _assert_identical(index, nodes, *, batch: bool = False) -> None:
-    """Pruned and legacy answers must match bit-for-bit (ties included)."""
+def _check_oracle(result, knn_type, dataset, column, k) -> None:
+    """One kNN answer against the oracle distances (by rank) of its node."""
+    if knn_type is KnnType.EXACT_DISTANCES:
+        ranks = [dataset.rank(obj) for obj, _ in result]
+        distances = [d for _, d in result]
+        assert distances == [column[rank] for rank in ranks], "inexact"
+    else:
+        ranks = [dataset.rank(obj) for obj in result]
+        distances = [float(column[rank]) for rank in ranks]
+    assert len(set(ranks)) == len(ranks), "duplicate result"
+    finite = np.sort(column[np.isfinite(column)])
+    assert sorted(distances) == finite[:k].tolist(), "not the k nearest"
+    if knn_type is not KnnType.SET:
+        assert distances == sorted(distances), "out of order"
+
+
+def _assert_exact(scalar, vec, shard4, nodes) -> None:
+    """Every configuration's answers match the oracle; the monolith
+    engines also match shard4's tie-breaks, singly and batched."""
+    dataset = vec.dataset
+    oracle = np.array(
+        [shortest_path_tree(vec.network, obj).distance for obj in dataset]
+    )
     for k in IDENTITY_KS:
-        with _mode(index, "legacy"):
-            legacy = [index.knn(node, k) for node in nodes]
-        with _mode(index, "pruned"):
-            pruned = [index.knn(node, k) for node in nodes]
-        assert pruned == legacy, f"k={k}: pruned != legacy"
-        if batch:
-            with _mode(index, "legacy"):
-                legacy_b = index.knn_batch(nodes, k)
-            with _mode(index, "pruned"):
-                pruned_b = index.knn_batch(nodes, k)
-            assert pruned_b == legacy_b, f"k={k}: batch pruned != legacy"
-
-
-def _measure_monolith(config: str, index, nodes, *, batch: bool) -> dict:
-    """Legacy and pruned measurements for one monolith configuration."""
-    out = {}
-    for mode in ("legacy", "pruned"):
-        with _mode(index, mode):
-            # One un-timed pass so the timed one measures steady state.
-            if batch:
-                index.knn_batch(nodes, KNN_K)
-                out[mode] = measure_batch_queries(
-                    f"knn/{config}/{mode}",
-                    index,
-                    lambda ns: index.knn_batch(ns, KNN_K),
-                    nodes,
-                )
-            else:
-                for node in nodes:
-                    index.knn(node, KNN_K)
-                out[mode] = measure_queries(
-                    f"knn/{config}/{mode}",
-                    index,
-                    lambda n: index.knn(n, KNN_K),
-                    nodes,
-                )
-    return out
+        for knn_type in KnnType:
+            batched = vec.knn_batch(nodes, k, knn_type=knn_type)
+            for i, node in enumerate(nodes):
+                want = shard4.knn(node, k, knn_type=knn_type)
+                _check_oracle(want, knn_type, dataset, oracle[:, node], k)
+                for got in (
+                    scalar.knn(node, k, knn_type=knn_type),
+                    vec.knn(node, k, knn_type=knn_type),
+                    batched[i],
+                ):
+                    assert got == want, (node, k, knn_type)
 
 
 def _shard_pages(index) -> int:
@@ -177,37 +160,45 @@ def _shard_pages(index) -> int:
     )
 
 
-def _measure_sharded(index, nodes) -> tuple[dict, int]:
-    """Legacy/pruned measurements for the sharded index, plus the number
-    of remote-shard stitches the pruned pass skipped.
+def _measure_sharded(index, nodes) -> Measurement:
+    """One timed pass over the sharded index.
 
     The sharded index has no ``reset_counters`` facade (each shard
     worker owns its counter), so this measures by counter deltas instead
     of going through :func:`measure_queries`.
     """
-    out = {}
-    skipped = 0
-    skip_counter = index.metrics.counter("knn_refine.shards_skipped")
-    for mode in ("legacy", "pruned"):
-        with _mode(index, mode):
-            for node in nodes:  # warm
-                index.knn(node, KNN_K)
-            pages_before = _shard_pages(index)
-            skips_before = skip_counter.value
-            start = time.perf_counter()
-            for node in nodes:
-                index.knn(node, KNN_K)
-            elapsed = time.perf_counter() - start
-            if mode == "pruned":
-                skipped = skip_counter.value - skips_before
-        count = len(nodes)
-        out[mode] = Measurement(
-            label=f"knn/shard4/{mode}",
-            queries=count,
-            pages=(_shard_pages(index) - pages_before) / count,
-            seconds=elapsed / count,
-        )
-    return out, skipped
+    pages_before = _shard_pages(index)
+    start = time.perf_counter()
+    for node in nodes:
+        index.knn(node, KNN_K)
+    elapsed = time.perf_counter() - start
+    count = len(nodes)
+    return Measurement(
+        label="knn/shard4",
+        queries=count,
+        pages=(_shard_pages(index) - pages_before) / count,
+        seconds=elapsed / count,
+    )
+
+
+def _measure(config: str, index, nodes) -> list[Measurement]:
+    """A warm pass, then ``REPEATS`` timed passes of one configuration."""
+    if config == "vectorized":
+        def run():
+            return measure_batch_queries(
+                "knn/vectorized", index,
+                lambda ns: index.knn_batch(ns, KNN_K), nodes,
+            )
+    elif config == "scalar":
+        def run():
+            return measure_queries(
+                "knn/scalar", index, lambda n: index.knn(n, KNN_K), nodes
+            )
+    else:
+        def run():
+            return _measure_sharded(index, nodes)
+    run()
+    return [run() for _ in range(REPEATS)]
 
 
 def _pruning_counters(index) -> dict:
@@ -224,40 +215,29 @@ def _pruning_counters(index) -> dict:
     }
 
 
-def _config_entry(pair: dict, extra: dict | None = None) -> dict:
-    legacy, pruned = pair["legacy"], pair["pruned"]
-    entry = {
-        "legacy_pages": legacy.pages,
-        "pruned_pages": pruned.pages,
-        "page_reduction": (
-            legacy.pages / pruned.pages if pruned.pages else float("inf")
-        ),
-        "legacy_qps": legacy.qps,
-        "pruned_qps": pruned.qps,
-        "speedup": pruned.qps / legacy.qps if legacy.qps else float("inf"),
+def _config_entry(runs: list[Measurement]) -> dict:
+    qps = [run.qps for run in runs]
+    return {
+        "pruned_pages": statistics.median(run.pages for run in runs),
+        "pruned_qps": statistics.median(qps),
+        "qps_min": min(qps),
+        "qps_max": max(qps),
+        "qps_runs": qps,
     }
-    entry.update(extra or {})
-    return entry
 
 
-def test_knn_head_to_head(knn_setup, query_suite):
+def test_knn_refinement(knn_setup, query_suite):
     scalar, vec, shard4 = knn_setup
     nodes = make_query_nodes(query_suite.network, NUM_QUERIES, seed=406)
-    identity_nodes = nodes[: min(len(nodes), 40)]
 
-    # -- bit-identity first: a fast wrong answer is not a result -------
-    _assert_identical(scalar, identity_nodes)
-    _assert_identical(vec, identity_nodes, batch=True)
-    _assert_identical(shard4, identity_nodes)
+    # -- correctness first: a fast wrong answer is not a result --------
+    _assert_exact(scalar, vec, shard4, nodes[: min(len(nodes), 40)])
 
-    # -- head-to-head measurements -------------------------------------
-    pairs = {
-        "scalar": _measure_monolith("scalar", scalar, nodes, batch=False),
-        "vectorized": _measure_monolith("vectorized", vec, nodes, batch=True),
+    runs = {
+        "scalar": _measure("scalar", scalar, nodes),
+        "vectorized": _measure("vectorized", vec, nodes),
+        "shard4": _measure("shard4", shard4, nodes),
     }
-    shard_pair, shards_skipped = _measure_sharded(shard4, nodes)
-    pairs["shard4"] = shard_pair
-
     payload = {
         "config": {
             "num_nodes": QUERY_NODES,
@@ -268,23 +248,14 @@ def test_knn_head_to_head(knn_setup, query_suite):
             "identity_ks": list(IDENTITY_KS),
             "quick": QUICK,
             "cpus": os.cpu_count(),
-            "repeats": 1,
+            "repeats": REPEATS,
         },
-        "configs": {
-            name: _config_entry(
-                pair,
-                {"shards_skipped_per_query": shards_skipped / len(nodes)}
-                if name == "shard4"
-                else None,
-            )
-            for name, pair in pairs.items()
-        },
+        "configs": {name: _config_entry(r) for name, r in runs.items()},
         "pruning_counters": _pruning_counters(scalar),
         "notes": {
             "shard4": (
                 "answers from stitched tree rows: one signature record "
-                "per query in both modes, so the pruned win is skipped "
-                "remote-shard stitches (CPU), not pages"
+                "per query; every remote shard is stitched"
             ),
         },
     }
@@ -293,12 +264,10 @@ def test_knn_head_to_head(knn_setup, query_suite):
     rows = [
         [
             name,
-            entry["legacy_pages"],
             entry["pruned_pages"],
-            entry["page_reduction"],
-            entry["legacy_qps"],
             entry["pruned_qps"],
-            entry["speedup"],
+            entry["qps_min"],
+            entry["qps_max"],
         ]
         for name, entry in payload["configs"].items()
     ]
@@ -306,38 +275,21 @@ def test_knn_head_to_head(knn_setup, query_suite):
     write_result(
         "knn",
         format_table(
-            [
-                "config",
-                "legacy pages",
-                "pruned pages",
-                "reduction",
-                "legacy q/s",
-                "pruned q/s",
-                "speedup",
-            ],
+            ["config", "pages/query", "q/s (median)", "q/s min", "q/s max"],
             rows,
             title=(
-                f"kNN refinement — pruned vs legacy "
-                f"(N={QUERY_NODES}, p={DENSITY_LABEL}, k={KNN_K}, "
-                f"{NUM_QUERIES} queries)"
+                f"kNN refinement (N={QUERY_NODES}, p={DENSITY_LABEL}, "
+                f"k={KNN_K}, {NUM_QUERIES} queries, {REPEATS} repeats)"
             ),
         ),
     )
     print(f"[written to {JSON_PATH}]")
 
     # -- acceptance ----------------------------------------------------
-    for name in ("scalar", "vectorized"):
-        entry = payload["configs"][name]
-        assert entry["page_reduction"] >= MIN_PAGE_REDUCTION, (name, entry)
-        if QUICK:
+    if QUICK:
+        for name in ("scalar", "vectorized"):
+            entry = payload["configs"][name]
             assert entry["pruned_pages"] <= QUICK_PAGE_BUDGET, (name, entry)
-    shard_entry = payload["configs"]["shard4"]
-    # Sharded pages are mode-independent (see notes); the pruned pass
-    # must skip remote stitches without ever reading more.
-    assert shard_entry["pruned_pages"] <= shard_entry["legacy_pages"] * (
-        1 + 1e-9
-    ), shard_entry
-    assert shard_entry["shards_skipped_per_query"] > 0, shard_entry
 
 
 if __name__ == "__main__":

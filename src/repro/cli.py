@@ -565,7 +565,6 @@ def _cmd_info(args) -> int:
         print(f"objects:             {stats['objects']}")
         print(f"categories:          {stats['categories']}")
         print(f"stored encoding:     {stats['stored']}")
-        print(f"knn refinement:      {stats['knn_refine']}")
         print(f"boundary nodes:      {stats['boundary_nodes']} "
               f"({stats['boundary_nodes'] / stats['nodes']:.1%} of nodes)")
         print(f"cut edges:           {stats['cut_edges']}")
@@ -584,7 +583,6 @@ def _cmd_info(args) -> int:
     print(f"objects:             {len(index.dataset)}")
     print(f"categories:          {index.partition.num_categories}")
     print(f"stored encoding:     {index.stored_kind}")
-    print(f"knn refinement:      {index.knn_refine}")
     print(f"signature pages:     {report.signature_pages}")
     print(f"adjacency pages:     {report.adjacency_pages}")
     print(f"raw bits:            {report.raw_bits}")

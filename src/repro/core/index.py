@@ -80,7 +80,6 @@ _NULL_SCOPE = _NullScope()
 
 _SIZE_KINDS = ("raw", "encoded", "compressed")
 _QUERY_ENGINES = ("vectorized", "scalar")
-_KNN_REFINE_MODES = ("pruned", "legacy")
 
 
 def _coerce_batch_nodes(nodes) -> list[int]:
@@ -229,7 +228,6 @@ class SignatureIndex:
         stored_kind: str = "compressed",
         buffer_pool: LRUBufferPool | None = None,
         query_engine: str = "vectorized",
-        knn_refine: str = "pruned",
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if stored_kind not in _SIZE_KINDS:
@@ -240,11 +238,6 @@ class SignatureIndex:
             raise IndexError_(
                 f"query_engine must be one of {_QUERY_ENGINES}, got "
                 f"{query_engine!r}"
-            )
-        if knn_refine not in _KNN_REFINE_MODES:
-            raise IndexError_(
-                f"knn_refine must be one of {_KNN_REFINE_MODES}, got "
-                f"{knn_refine!r}"
             )
         self.network = network
         self.dataset = dataset
@@ -263,11 +256,6 @@ class SignatureIndex:
         #: index was assembled or loaded rather than built.
         self.compression_stats: CompressionStats | None = None
         self.query_engine = query_engine
-        #: kNN boundary resolution: "pruned" routes through the
-        #: bound-pruned shared-frontier core (repro.core.knn_refine),
-        #: "legacy" keeps the pairwise Algorithm 2/4 resolution.  Results
-        #: are bit-identical either way; only the I/O profile differs.
-        self.knn_refine = knn_refine
         # Observability: an own registry (cheap, on by default — swap in
         # repro.obs.NULL_REGISTRY to disable), no tracer until trace().
         self.tracer: Tracer | None = None
@@ -293,7 +281,6 @@ class SignatureIndex:
         storage_schema: str = "separate",
         buffer_pool: LRUBufferPool | None = None,
         query_engine: str = "vectorized",
-        knn_refine: str = "pruned",
         metrics: MetricsRegistry | None = None,
     ) -> "SignatureIndex":
         """Construct the index per §5.2 (+ §5.3 compression by default).
@@ -364,7 +351,6 @@ class SignatureIndex:
             stored_kind="compressed" if compress else "encoded",
             buffer_pool=buffer_pool,
             query_engine=query_engine,
-            knn_refine=knn_refine,
             metrics=registry,
         )
         index.compression_stats = stats
@@ -956,7 +942,6 @@ class SignatureIndex:
             "categories": self.partition.num_categories,
             "stored": self.stored_kind,
             "query_engine": self.query_engine,
-            "knn_refine": self.knn_refine,
             "signature_pages": report.signature_pages,
             "adjacency_pages": report.adjacency_pages,
             "object_table_bytes": report.object_table_bytes,

@@ -21,12 +21,11 @@ per comparison.  This module replaces that resolution with three pieces:
   amortized across candidates — and, when the context is shared by
   ``knn_query_batch`` / ``knn_join``, across queries.
 
-Results are bit-identical to the legacy path (:func:`repro.core.queries
-.knn_query` and the vectorized twin): the same approximate pre-sort
-(Algorithm 3) seeds the order, and the exact fix-up — legacy's
-adjacent-swap pass with a *strictly-greater* comparator — is equivalent
-to a stable sort by exact distance over the pre-sort order, which is
-what the survivors get here.  Bounds carry a relative ``1e-9`` slack so
+Results keep Algorithm 4's order (:func:`repro.core.operations
+.sort_by_distance`): the same approximate pre-sort (Algorithm 3) seeds
+the order, and Algorithm 4's exact fix-up — an adjacent-swap pass with a
+*strictly-greater* comparator — is equivalent to a stable sort by exact
+distance over the pre-sort order, which is what the survivors get here.  Bounds carry a relative ``1e-9`` slack so
 accumulated floating-point error in the bound arithmetic can never
 prune a candidate the left-to-right exact accumulation would keep.
 """
@@ -76,7 +75,8 @@ class RefinementContext:
     memory for the duration of the context) and memoizes decompressed
     components per ``(node, rank)``.  Exact distances are **never**
     memoized: every walk accumulates edge weights left-to-right from its
-    own start node, reproducing the legacy accumulator bit for bit
+    own start node, reproducing :func:`~repro.core.operations
+    .retrieve_distance`'s accumulator bit for bit
     (float addition is not associative, so sharing suffixes would not).
     """
 
@@ -232,7 +232,7 @@ def _kth_smallest(values: np.ndarray, k: int) -> float:
 
 def _approx_comparator(index, node: int, cats_row: np.ndarray):
     """The Algorithm 3 comparator seeded from the decoded row —
-    decision-identical to the legacy scalar and vectorized pre-sorts."""
+    decision-identical to :func:`repro.core.operations.compare_approximate`."""
     from repro.core.vectorized import _make_approx_comparator
 
     return _make_approx_comparator(index, node, cats_row)
@@ -248,7 +248,7 @@ def _refine_boundary(
     ctx: RefinementContext,
 ) -> tuple[list[int], dict[int, float]]:
     """Resolve the boundary bucket: the first ``needed`` members in exact
-    ascending order (legacy tie-breaks preserved), pruning by bounds.
+    ascending order (Algorithm 4's tie-breaks preserved), pruning by bounds.
 
     Returns ``(take, exact)`` where ``exact`` also holds every distance
     the refinement computed (reused by the EXACT_DISTANCES result type).
@@ -301,8 +301,8 @@ def _refine_boundary(
         span.set("refined", len(exact))
     _inc(index, "_metric_refine_pruned", pruned)
     _inc(index, "_metric_refine_refined", len(exact))
-    # Stable sort by exact distance over the pre-sort order == the legacy
-    # adjacent-swap fix-up's final order; pruned candidates are strictly
+    # Stable sort by exact distance over the pre-sort order == Algorithm
+    # 4's adjacent-swap fix-up's final order; pruned candidates are strictly
     # farther than at least `needed` survivors, so the head is identical.
     take = sorted(exact, key=lambda rank: (exact[rank], position[rank]))
     return take[:needed], exact
@@ -341,8 +341,8 @@ def knn_select(
     ctx: RefinementContext,
 ) -> list[int] | list[tuple[int, float]]:
     """Algorithm 6 on a decoded row, boundary resolved by pruned
-    refinement — bit-identical results (ties, order, per ``KnnType``) to
-    the legacy paths in :mod:`repro.core.queries` / ``vectorized``."""
+    refinement — the results (ties, order, per ``KnnType``) of a full
+    Algorithm 4 sort of the boundary bucket."""
     ctx.touch_signature(node)
     partition = index.partition
     unreachable = partition.unreachable

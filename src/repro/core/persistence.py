@@ -278,7 +278,6 @@ def save_index(index, directory: str | Path, *, format: int | None = None) -> No
         f"encoding {encoding}",
         f"drop_last {int(index.object_table._drop_last_category)}",
         f"query_engine {index.query_engine}",
-        f"knn_refine {index.knn_refine}",
     ]
     if format == 1:
         payload = serialize_table(index.table, encoding=encoding)
@@ -351,7 +350,10 @@ def saved_query_engine(meta: dict[str, str]) -> str:
     Snapshots saved by releases that had a third, ``columnar`` engine
     load on the vectorized engine, which reads the same stored rows.  A
     ``decoded_cache`` line from those releases is ignored: batch reads
-    no longer cache rows.
+    no longer cache rows.  So is a ``knn_refine`` line (``pruned`` or
+    ``legacy``): every signature index resolves the kNN boundary bucket
+    through the one bound-pruned core, with the same answers either
+    mode gave.
     """
     engine = meta.get("query_engine", "vectorized")
     return "vectorized" if engine == "columnar" else engine
@@ -400,7 +402,6 @@ def _load_index_v1(directory: Path, meta: dict[str, str]):
         object_table,
         stored_kind=encoding,
         query_engine=saved_query_engine(meta),
-        knn_refine=meta.get("knn_refine", "pruned"),
     )
     if table.compressed.any():
         # Restore the logical categories of flagged components and the
@@ -478,7 +479,6 @@ def _load_index_v2(directory: Path, meta: dict[str, str]):
         trees=trees,
         stored_kind=encoding,
         query_engine=saved_query_engine(meta),
-        knn_refine=meta.get("knn_refine", "pruned"),
     )
     return index
 

@@ -27,7 +27,6 @@ from repro.core.operations import (
     SignatureIndexProtocol,
     compare_approximate,
     retrieve_distance,
-    sort_by_distance,
 )
 from repro.core.signature import DistanceRange
 from repro.errors import QueryError
@@ -63,15 +62,6 @@ def _require_objects(index: SignatureIndexProtocol) -> None:
     the serving layer maps it to HTTP 400."""
     if index.object_table.num_objects == 0:
         raise QueryError("kNN query requires a non-empty object dataset")
-
-
-def _pruned(index: SignatureIndexProtocol) -> bool:
-    """Whether the bound-pruned refinement core answers kNN queries.
-
-    Full indexes carry a ``knn_refine`` knob (default ``"pruned"``); bare
-    protocol stubs without one keep the legacy path.
-    """
-    return getattr(index, "knn_refine", "legacy") == "pruned"
 
 
 def _qualifies(index: SignatureIndexProtocol, node: int, rank: int,
@@ -132,6 +122,9 @@ def knn_query(
 ) -> list[int] | list[tuple[int, float]]:
     """The k nearest objects to ``node`` (Algorithm 6).
 
+    The boundary bucket is resolved by the bound-pruned refinement core
+    (:mod:`repro.core.knn_refine`), which returns Algorithm 4's order.
+
     * type 3 (``SET``): a list of object ranks, unordered;
     * type 2 (``ORDERED``): ranks in ascending distance order;
     * type 1 (``EXACT_DISTANCES``): ``(rank, distance)`` in ascending order.
@@ -142,69 +135,9 @@ def knn_query(
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
     _require_objects(index)
-    if _pruned(index):
-        from repro.core.knn_refine import knn_query_scalar
+    from repro.core.knn_refine import knn_query_scalar
 
-        return knn_query_scalar(index, node, k, knn_type=knn_type)
-    index.touch_signature(node)
-    partition = index.partition
-    unreachable = partition.unreachable
-
-    # Bucket objects by categorical distance (line 1 of Algorithm 6).
-    buckets: dict[int, list[int]] = {}
-    for rank in range(index.object_table.num_objects):
-        category = index.component(node, rank).category
-        if category == unreachable:
-            continue
-        buckets.setdefault(category, []).append(rank)
-
-    ordered_categories = sorted(buckets)
-    confirmed: list[list[int]] = []  # whole buckets below the boundary
-    taken = 0
-    boundary_bucket: list[int] = []
-    needed_from_boundary = 0
-    for category in ordered_categories:
-        bucket = buckets[category]
-        if taken + len(bucket) <= k:
-            confirmed.append(bucket)
-            taken += len(bucket)
-            if taken == k:
-                break
-        else:
-            boundary_bucket = bucket
-            needed_from_boundary = k - taken
-            break
-
-    if needed_from_boundary:
-        # Sort the boundary bucket (Algorithm 4) and take the remainder.
-        with span_of(
-            index,
-            "boundary_sort",
-            bucket=len(boundary_bucket),
-            needed=needed_from_boundary,
-        ):
-            ordered_boundary = sort_by_distance(index, node, boundary_bucket)
-        boundary_take = ordered_boundary[:needed_from_boundary]
-    else:
-        boundary_take = []
-
-    if knn_type is KnnType.SET:
-        return [rank for bucket in confirmed for rank in bucket] + boundary_take
-
-    if knn_type is KnnType.ORDERED:
-        ordered: list[int] = []
-        for bucket in confirmed:
-            ordered.extend(sort_by_distance(index, node, bucket))
-        ordered.extend(boundary_take)
-        return ordered
-
-    # Type 1: exact distances for every result, then a plain sort.
-    results = [rank for bucket in confirmed for rank in bucket] + boundary_take
-    with_distances = [
-        (rank, retrieve_distance(index, node, rank)) for rank in results
-    ]
-    with_distances.sort(key=lambda pair: (pair[1], pair[0]))
-    return with_distances
+    return knn_query_scalar(index, node, k, knn_type=knn_type)
 
 
 def approximate_knn_query(
@@ -340,24 +273,17 @@ def knn_join(
     if index_a.network is not index_b.network:
         raise QueryError("kNN join requires both datasets on one network")
     self_join = index_a is index_b
-    ctx = None
-    if _pruned(index_b):
-        # One refinement context for the whole probe side: page reads and
-        # decompressions amortize across every per-object kNN scan.
-        from repro.core import knn_refine
+    # One refinement context for the whole probe side: page reads and
+    # decompressions amortize across every per-object kNN scan.
+    from repro.core import knn_refine
 
-        _require_objects(index_b)
-        ctx = knn_refine.RefinementContext(index_b)
+    _require_objects(index_b)
+    ctx = knn_refine.RefinementContext(index_b)
     results: list[tuple[int, list[int]]] = []
     for rank_a in range(len(index_a.dataset)):
         node_a = index_a.dataset[rank_a]
         want = k + 1 if self_join else k
-        if ctx is not None:
-            neighbors = knn_refine.knn_query_scalar(
-                index_b, node_a, want, ctx=ctx
-            )
-        else:
-            neighbors = knn_query(index_b, node_a, want)
+        neighbors = knn_refine.knn_query_scalar(index_b, node_a, want, ctx=ctx)
         if self_join:
             neighbors = [rank for rank in neighbors if rank != rank_a][:k]
         results.append((rank_a, neighbors))

@@ -119,15 +119,16 @@ class UpdateCoordinator:
         self.index = index
         self.lock = ReadWriteLock()
         #: Monotonic update counter.  Each applied changeset bumps it
-        #: once and appends one ``(epoch, "changeset", deltas, 0, None)``
-        #: entry to :attr:`update_log`, which worker processes replay to
-        #: bring their mmapped snapshot up to the dispatching epoch (see
+        #: once and appends one ``(epoch, deltas)`` entry to
+        #: :attr:`update_log` (``deltas`` being the changeset's ``(op, u,
+        #: v, weight)`` tuples), which worker processes replay to bring
+        #: their mmapped snapshot up to the dispatching epoch (see
         #: :mod:`repro.serve.workers`).  Failed updates never enter the
         #: log, so workers only ever replay operations the primary
         #: actually applied.  :meth:`compact` truncates entries every
         #: worker has acknowledged.
         self.epoch = 0
-        self.update_log: list[tuple[int, str, object, object, object]] = []
+        self.update_log: list[tuple[int, tuple]] = []
         self._pending: list[tuple[tuple, asyncio.Future]] = []
         self._flusher: asyncio.Task | None = None
         registry = registry if registry is not None else NULL_REGISTRY
@@ -242,9 +243,7 @@ class UpdateCoordinator:
         self._metric_update_seconds.observe(loop.time() - start)
         if changeset:
             self.epoch += 1
-            self.update_log.append(
-                (self.epoch, "changeset", changeset.as_tuples(), 0, None)
-            )
+            self.update_log.append((self.epoch, changeset.as_tuples()))
             self._metric_log_length.set(len(self.update_log))
         result.epoch = self.epoch
         for future in futures:

@@ -332,12 +332,7 @@ class QueryServer:
         cost down per shard.
         """
         from repro.core.builder import categorize_array
-        from repro.shard.sharded import (
-            select_knn,
-            select_range,
-            stitch_row,
-            stitched_knn_row,
-        )
+        from repro.shard.sharded import select_knn, select_range, stitch_row
 
         index = self.index
         epoch = self.coordinator.epoch
@@ -355,13 +350,6 @@ class QueryServer:
             futures[shard_id] = loop.run_in_executor(
                 pool, worker_mod.run_shard_rows, epoch, log, locals_
             )
-        # kNN batches skip remote shards whose lower bound loses to the
-        # k-th upper bound (same rule as ShardedSignatureIndex._knn_row);
-        # skipped objects can never reach the answer, so it stays exact.
-        prune_k = None
-        if key.kind != "range" and index.knn_refine == "pruned":
-            prune_k = key.params[0]
-        shards_skipped = 0
         pages_logical = pages_physical = 0
         spans: list = []
         labels: list[str] = []
@@ -387,19 +375,8 @@ class QueryServer:
             ):
                 worker_epoch = shard_epoch
             for node, row in zip(members, rows):
-                if prune_k is not None:
-                    out, skipped = stitched_knn_row(
-                        index, shard_id, row, prune_k
-                    )
-                    stitched[node] = out
-                    shards_skipped += skipped
-                else:
-                    stitched[node] = stitch_row(index, shard_id, row)
+                stitched[node] = stitch_row(index, shard_id, row)
         self._maybe_compact()
-        if shards_skipped and self._registry.enabled:
-            self._registry.counter("knn_refine.shards_skipped").inc(
-                shards_skipped
-            )
         if batch is not None:
             batch.attach_execution(
                 pages_logical=pages_logical,

@@ -11,9 +11,8 @@ kernel page cache no matter how many workers serve from them, and no
 index is ever pickled across the process boundary.
 
 Consistency with §5.4 live updates uses an epoch-stamped replay log.
-The coordinator bumps ``epoch`` and appends one
-``(epoch, "changeset", deltas, 0, None)`` entry per applied changeset;
-every batch dispatched to the pool
+The coordinator bumps ``epoch`` and appends one ``(epoch, deltas)``
+entry per applied changeset; every batch dispatched to the pool
 carries the coordinator's current epoch plus the log tail, and
 :func:`run_batch` replays any entries this worker has not yet applied
 before answering.  Copy-on-write mapping makes the replay private: the
@@ -106,18 +105,18 @@ def warm() -> int:
 
 
 def _unapplied(applied: int, epoch: int, log):
-    """The changesets of ``log`` that move a replica from ``applied`` to
-    ``epoch``, as ``(entry_epoch, deltas)`` in log order.
+    """The entries of ``log`` that move a replica from ``applied`` to
+    ``epoch``, in log order.
 
-    ``log`` holds ``(entry_epoch, "changeset", deltas, 0, None)`` entries
-    sorted by epoch, ``deltas`` being the changeset's ``(op, u, v,
-    weight)`` tuples.  Entries at or below ``applied`` are skipped,
+    ``log`` holds ``(entry_epoch, deltas)`` entries sorted by epoch,
+    ``deltas`` being the changeset's ``(op, u, v, weight)`` tuples.
+    Entries at or below ``applied`` are skipped,
     entries beyond the batch's target ``epoch`` are ignored (they belong
     to updates that committed after this batch was gated).  Raises when
     the log no longer reaches back to ``applied``.
     """
     reached = applied
-    for entry_epoch, _, deltas, _, _ in log:
+    for entry_epoch, deltas in log:
         if entry_epoch <= applied or entry_epoch > epoch:
             continue
         yield entry_epoch, deltas

@@ -106,7 +106,6 @@ def save_sharded_index(index, directory: str | Path) -> None:
         f"encoding {index.stored_kind}",
         f"drop_last {int(index._drop_last)}",
         f"query_engine {index.query_engine}",
-        f"knn_refine {index.knn_refine}",
     ]
     # meta.txt last: its presence marks the directory complete.
     (directory / "meta.txt").write_text("\n".join(meta) + "\n")
@@ -244,7 +243,6 @@ def load_sharded_index(directory: str | Path, meta: dict[str, str]):
         drop_last_category_pairs=meta.get("drop_last", "1") == "1",
         stored_kind=meta.get("encoding", "compressed"),
         query_engine=saved_query_engine(meta),
-        knn_refine=meta.get("knn_refine", "pruned"),
     )
 
 

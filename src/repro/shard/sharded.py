@@ -65,7 +65,6 @@ from repro.core.index import (
     _coerce_batch_nodes,
     _coerce_k,
     _coerce_radius,
-    _KNN_REFINE_MODES,
     _NULL_SCOPE,
 )
 from repro.core.operations import _observer_vote
@@ -86,7 +85,6 @@ __all__ = [
     "ShardState",
     "ShardedSignatureIndex",
     "stitch_row",
-    "stitched_knn_row",
     "select_range",
     "select_knn",
     "select_knn_approximate",
@@ -283,70 +281,6 @@ def stitch_row(index: "ShardedSignatureIndex", shard_id: int,
         for j in np.flatnonzero(np.isfinite(via)):
             np.minimum(out, via[j] + index.G[shard.overlay_idx[j]], out=out)
     return out
-
-
-def stitched_knn_row(
-    index: "ShardedSignatureIndex",
-    shard_id: int,
-    local_row: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, int]:
-    """:func:`stitch_row` with per-shard lower-bound skipping for kNN.
-
-    Remote shards are stitched in ascending order of their best possible
-    contribution ``lbs[s] = min_j(row[b_j] + Gmin[b_j, s])``; once ``k``
-    finite distances are in hand, a shard whose bound reaches the *next
-    category* above the current k-th smallest can only hold objects whose
-    category exceeds the kNN boundary category — they are never selected
-    and never observers, so leaving their entries ``inf`` changes nothing
-    in Algorithm 6's answer.  Distances that are computed stay bitwise
-    equal to :func:`stitch_row` (elementwise min is order-independent).
-    Returns ``(out, shards_skipped)``.
-    """
-    shard = index.shards[shard_id]
-    local_row = np.asarray(local_row, dtype=float)
-    num_objects = len(index.dataset)
-    out = np.full(num_objects, np.inf)
-    if shard.obj_global_ranks.size:
-        out[shard.obj_global_ranks] = local_row[shard.obj_pseudo_ranks]
-    skipped = 0
-    if not shard.boundary_pseudo.size:
-        return out, skipped
-    via = local_row[shard.boundary_pseudo]
-    finite_j = np.flatnonzero(np.isfinite(via))
-    if not finite_j.size:
-        return out, skipped
-    via_f = via[finite_j]
-    rows = shard.overlay_idx[finite_j]
-    own = shard.obj_global_ranks
-    if own.size:
-        stitch = (via_f[:, None] + index.G[np.ix_(rows, own)]).min(axis=0)
-        out[own] = np.minimum(out[own], stitch)
-    # Best possible distance into each shard's object set, via any of the
-    # query shard's (finitely reachable) boundary nodes.
-    lbs = (via_f[:, None] + index.Gmin[rows, :]).min(axis=0)
-    partition = index.partition
-    pool = out[np.isfinite(out)]
-    order = sorted(
-        (s for s in range(len(index.shards)) if s != shard_id),
-        key=lambda s: (lbs[s], s),
-    )
-    for s in order:
-        if math.isinf(lbs[s]):
-            continue  # unreachable via this shard's boundary: inf anyway
-        if pool.size >= k:
-            pool_k = float(np.partition(pool, k - 1)[k - 1])
-            if lbs[s] >= partition.upper_bound(partition.categorize(pool_k)):
-                skipped += 1
-                continue
-        remote = index.shards[s].obj_global_ranks
-        if not remote.size:
-            continue
-        stitch = (via_f[:, None] + index.G[np.ix_(rows, remote)]).min(axis=0)
-        out[remote] = np.minimum(out[remote], stitch)
-        fresh = out[remote]
-        pool = np.concatenate([pool, fresh[np.isfinite(fresh)]])
-    return out, skipped
 
 
 def _compare_approximate(index, cats: np.ndarray, rank_a: int,
@@ -562,15 +496,9 @@ class ShardedSignatureIndex:
         drop_last_category_pairs: bool = True,
         stored_kind: str = "compressed",
         query_engine: str = "vectorized",
-        knn_refine: str = "pruned",
         page_size: int = DEFAULT_PAGE_SIZE,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if knn_refine not in _KNN_REFINE_MODES:
-            raise IndexError_(
-                f"knn_refine must be one of {_KNN_REFINE_MODES}, "
-                f"got {knn_refine!r}"
-            )
         self.network = network
         self.dataset = dataset
         self.partition = partition
@@ -579,9 +507,6 @@ class ShardedSignatureIndex:
         self.shards = shards
         self.stored_kind = stored_kind
         self.query_engine = query_engine
-        #: "pruned" stitches remote shards lazily per kNN query (lower-
-        #: bound skipping); "legacy" always stitches the full row.
-        self.knn_refine = knn_refine
         self.page_size = page_size
         self._drop_last = drop_last_category_pairs
         self.counter = PageAccessCounter()
@@ -622,7 +547,6 @@ class ShardedSignatureIndex:
         storage_strategy: str = "ccam",
         storage_schema: str = "separate",
         query_engine: str = "vectorized",
-        knn_refine: str = "pruned",
         metrics: MetricsRegistry | None = None,
     ) -> "ShardedSignatureIndex":
         """Partition, sweep each shard once, stitch, and assemble.
@@ -785,7 +709,6 @@ class ShardedSignatureIndex:
                 storage_schema=storage_schema,
                 stored_kind="compressed" if compress else "encoded",
                 query_engine=query_engine,
-                knn_refine=knn_refine,
                 metrics=shard.registry,
             )
             shard.index.compression_stats = stats
@@ -802,7 +725,6 @@ class ShardedSignatureIndex:
             drop_last_category_pairs=drop_last_category_pairs,
             stored_kind="compressed" if compress else "encoded",
             query_engine=query_engine,
-            knn_refine=knn_refine,
             page_size=page_size,
             metrics=registry,
         )
@@ -827,14 +749,6 @@ class ShardedSignatureIndex:
             )
         num_objects = len(self.dataset)
         self.G = _compute_G(self.shards, self.D, self._b_index, num_objects)
-        # Gmin[b, s]: the closest any of shard s's objects gets to boundary
-        # node b — the per-shard lower bounds driving kNN shard skipping.
-        self.Gmin = np.full((self.G.shape[0], len(self.shards)), np.inf)
-        for shard in self.shards:
-            if shard.obj_global_ranks.size:
-                self.Gmin[:, shard.shard_id] = self.G[
-                    :, shard.obj_global_ranks
-                ].min(axis=1)
         matrix = np.full((num_objects, num_objects), np.inf)
         for shard in self.shards:
             if not shard.obj_global_ranks.size:
@@ -921,26 +835,6 @@ class ShardedSignatureIndex:
             shard.registry.counter("query.routed").inc()
             row = shard.index.trees.distances[:, local]
             out = stitch_row(self, shard_id, row)
-        return shard_id, out
-
-    def _knn_row(self, node: int, k: int) -> tuple[int, np.ndarray]:
-        """:meth:`_exact_row` for kNN: remote shards whose best lower
-        bound loses to the current k-th upper bound are never stitched."""
-        if self.knn_refine != "pruned":
-            return self._exact_row(node)
-        shard_id = int(self.assignment[node])
-        shard = self.shards[shard_id]
-        if shard.index is None:
-            return shard_id, np.full(len(self.dataset), np.inf)
-        local = int(self.local_index[node])
-        with span_of(self, "shard.row", shard=shard_id, node=node) as span:
-            shard.index.touch_signature(local)
-            shard.registry.counter("query.routed").inc()
-            row = shard.index.trees.distances[:, local]
-            out, skipped = stitched_knn_row(self, shard_id, row, k)
-            span.set("shards_skipped", skipped)
-        if skipped and self.metrics.enabled:
-            self.metrics.counter("knn_refine.shards_skipped").inc(skipped)
         return shard_id, out
 
     def _require_objects(self) -> None:
@@ -1037,7 +931,7 @@ class ShardedSignatureIndex:
             "query.knn", node=node, k=k, knn_type=knn_type.name,
             counter=self._row_counter(node),
         ) as span:
-            _, out = self._knn_row(node, k)
+            _, out = self._exact_row(node)
             cats = categorize_array(self.partition, out)
             result = select_knn(self, out, cats, k, knn_type)
             span.set("results", len(result))
@@ -1052,7 +946,7 @@ class ShardedSignatureIndex:
         with self._scope("query.knn_batch", count=len(nodes), k=k) as span:
             batched = []
             for node in nodes:
-                _, out = self._knn_row(node, k)
+                _, out = self._exact_row(node)
                 cats = categorize_array(self.partition, out)
                 batched.append(select_knn(self, out, cats, k, knn_type))
             span.set("queries", len(batched))
@@ -1071,7 +965,7 @@ class ShardedSignatureIndex:
             "query.knn_approximate", node=node, k=k,
             counter=self._row_counter(node),
         ) as span:
-            _, out = self._knn_row(node, k)
+            _, out = self._exact_row(node)
             cats = categorize_array(self.partition, out)
             result = select_knn_approximate(self, out, cats, k)
             span.set("results", len(result))
@@ -1241,7 +1135,6 @@ class ShardedSignatureIndex:
             "categories": self.partition.num_categories,
             "stored": self.stored_kind,
             "query_engine": self.query_engine,
-            "knn_refine": self.knn_refine,
             "boundary_nodes": int(self.boundary.size),
             "cut_edges": len(self._cut_pairs),
             "per_shard": per_shard,

@@ -1,18 +1,21 @@
 """Bound-pruned kNN refinement (repro.core.knn_refine).
 
-The load-bearing property: with ``knn_refine="pruned"`` every engine —
-scalar, vectorized, columnar, and the sharded stitcher — returns answers
-**bit-identical** to the legacy path (same members, same ties, same
-order per ``KnnType``) while reading strictly fewer pages on boundary-
-heavy workloads.  Plus the validation sweep: ``k < 1`` and empty object
-sets raise :class:`~repro.errors.QueryError` everywhere, and serve as
-HTTP 400.
+The load-bearing property: every engine — scalar, vectorized, and the
+vectorized engine over a mapped format-v2 snapshot — answers kNN
+exactly.  Against a Dijkstra oracle, the returned distances are the k
+smallest oracle distances as a multiset, ``ORDERED`` results are
+non-decreasing, and ``EXACT_DISTANCES`` values are bitwise the oracle's.
+Tie-breaks (which of several equidistant objects is returned, and in
+which order) follow Algorithm 4; the reference for them is the sharded
+index, whose stitched-row Algorithm 6 sorts the boundary bucket with the
+full approximate pre-sort and exact bubble fix-up.  Plus the validation
+sweep: ``k < 1`` and empty object sets raise
+:class:`~repro.errors.QueryError` everywhere, and serve as HTTP 400.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import math
 import random
 
@@ -26,7 +29,7 @@ from repro.core import knn_refine, queries, vectorized
 from repro.core.persistence import load_index, save_index
 from repro.core.queries import KnnType
 from repro.core.signature import ObjectDistanceTable, SignatureTable
-from repro.errors import IndexError_, QueryError
+from repro.errors import QueryError
 from repro.network import (
     ObjectDataset,
     grid_network,
@@ -36,17 +39,6 @@ from repro.network import (
 from repro.network.dijkstra import shortest_path_tree
 from repro.obs.metrics import MetricsRegistry
 from repro.shard.sharded import ShardedSignatureIndex
-
-
-@contextlib.contextmanager
-def refine_mode(index, mode: str):
-    """Temporarily flip the ``knn_refine`` knob on a shared index."""
-    previous = index.knn_refine
-    index.knn_refine = mode
-    try:
-        yield index
-    finally:
-        index.knn_refine = previous
 
 
 def measured(index, fn, *args, **kwargs):
@@ -95,32 +87,51 @@ def engine_index(request, refine_net, refine_objs, tmp_path_factory):
     return load_index(directory)
 
 
+@pytest.fixture(scope="module")
+def sharded_reference(refine_net, refine_objs):
+    """The tie-break reference: Algorithm 6 on stitched exact rows."""
+    return ShardedSignatureIndex.build(refine_net, refine_objs, num_shards=2)
+
+
 def sample_nodes(network, count, seed=0):
     return random.Random(seed).sample(range(network.num_nodes), count)
 
 
+def assert_matches_oracle(result, knn_type, dataset, column, k):
+    """``result`` of a kNN at the node whose oracle distances (by object
+    rank) are ``column``: the k smallest finite distances as a multiset,
+    non-decreasing unless ``SET``, and bitwise exact for type 1."""
+    if knn_type is KnnType.EXACT_DISTANCES:
+        ranks = [dataset.rank(obj) for obj, _ in result]
+        distances = [d for _, d in result]
+        assert distances == [column[rank] for rank in ranks]
+    else:
+        ranks = [dataset.rank(obj) for obj in result]
+        distances = [float(column[rank]) for rank in ranks]
+    assert len(set(ranks)) == len(ranks)
+    finite = np.sort(column[np.isfinite(column)])
+    assert sorted(distances) == finite[:k].tolist()
+    if knn_type is not KnnType.SET:
+        assert distances == sorted(distances)
+
+
 class TestBitIdentity:
-    def test_matches_legacy_for_all_result_types(self, engine_index):
+    def test_matches_oracle_for_all_result_types(
+        self, engine_index, refine_oracle, sharded_reference
+    ):
         index = engine_index
         num_objects = len(index.dataset)
-        pruned_pages = legacy_pages = 0
         for node in sample_nodes(index.network, 20):
             for k in (1, 2, 5, num_objects, num_objects + 3):
                 for knn_type in KnnType:
-                    with refine_mode(index, "pruned"):
-                        got, pages = measured(
-                            index, index.knn, node, k, knn_type=knn_type
-                        )
-                    with refine_mode(index, "legacy"):
-                        want, pages_l = measured(
-                            index, index.knn, node, k, knn_type=knn_type
-                        )
-                    assert got == want, (node, k, knn_type)
-                    pruned_pages += pages
-                    legacy_pages += pages_l
-        # Individual ORDERED queries may trade a few pages (full walks vs
-        # pairwise partial refinement); the workload total must win big.
-        assert pruned_pages < legacy_pages
+                    got = index.knn(node, k, knn_type=knn_type)
+                    assert_matches_oracle(
+                        got, knn_type, index.dataset,
+                        refine_oracle[:, node], k,
+                    )
+                    assert got == sharded_reference.knn(
+                        node, k, knn_type=knn_type
+                    ), (node, k, knn_type)
 
     def test_exact_distances_match_dijkstra_oracle(
         self, engine_index, refine_oracle
@@ -134,25 +145,7 @@ class TestBitIdentity:
             distances = [d for _, d in result]
             assert distances == sorted(distances)
             for object_node, d in result:
-                rank = dataset.rank(object_node)
-                assert d == pytest.approx(
-                    refine_oracle[rank][node], rel=1e-9
-                )
-
-    def test_pruned_reads_many_fewer_pages(self, engine_index):
-        index = engine_index
-        nodes = sample_nodes(index.network, 40, seed=2)
-        with refine_mode(index, "pruned"):
-            index.reset_counters()
-            for node in nodes:
-                index.knn(node, 5)
-            pruned_pages = index.counter.logical_reads
-        with refine_mode(index, "legacy"):
-            index.reset_counters()
-            for node in nodes:
-                index.knn(node, 5)
-            legacy_pages = index.counter.logical_reads
-        assert pruned_pages * 2 < legacy_pages
+                assert d == refine_oracle[dataset.rank(object_node)][node]
 
     def test_scalar_and_vectorized_charge_identical_pages(
         self, refine_net, refine_objs
@@ -185,9 +178,7 @@ class TestHypothesisOracle:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_grid_ties_pruned_equals_legacy_and_oracle(
-        self, rows, cols, data
-    ):
+    def test_grid_ties_match_sharded_and_oracle(self, rows, cols, data):
         # Unit grids are maximally tie-heavy: many objects at exactly the
         # same distance, so any tie-break drift shows up immediately.
         network = grid_network(rows, cols)
@@ -206,6 +197,9 @@ class TestHypothesisOracle:
         )
         dataset = ObjectDataset(sorted(members))
         index = SignatureIndex.build(network, dataset, backend="scipy")
+        reference = ShardedSignatureIndex.build(
+            network, dataset, num_shards=2, backend="scipy"
+        )
         oracle = np.array(
             [shortest_path_tree(network, o).distance for o in dataset]
         )
@@ -213,60 +207,31 @@ class TestHypothesisOracle:
         for node in range(num_nodes):
             for k in ks:
                 for knn_type in KnnType:
-                    with refine_mode(index, "pruned"):
-                        got = index.knn(node, k, knn_type=knn_type)
-                    with refine_mode(index, "legacy"):
-                        want = index.knn(node, k, knn_type=knn_type)
-                    assert got == want, (node, k, knn_type)
-                result = index.knn(
-                    node, k, knn_type=KnnType.EXACT_DISTANCES
-                )
-                kth = len(result)
-                assert kth == min(k, int(np.isfinite(oracle[:, node]).sum()))
-                returned = {dataset.rank(obj) for obj, _ in result}
-                truth = sorted(oracle[:, node])
-                for obj, d in result:
-                    assert d == pytest.approx(
-                        oracle[dataset.rank(obj)][node], rel=1e-9
+                    got = index.knn(node, k, knn_type=knn_type)
+                    assert_matches_oracle(
+                        got, knn_type, dataset, oracle[:, node], k
                     )
-                # No returned distance exceeds the k-th smallest overall.
-                if kth:
-                    worst = max(d for _, d in result)
-                    assert worst <= truth[kth - 1] * (1 + 1e-9)
-                excluded = set(range(size)) - returned
-                for rank in excluded:
-                    assert oracle[rank][node] >= (
-                        truth[kth - 1] * (1 - 1e-9)
-                    )
+                    assert got == reference.knn(
+                        node, k, knn_type=knn_type
+                    ), (node, k, knn_type)
 
 
 class TestSharded:
     @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_pruned_matches_legacy_and_skips_shards(
-        self, refine_net, refine_objs, num_shards
+    def test_matches_oracle(
+        self, refine_net, refine_objs, refine_oracle, num_shards
     ):
-        registry = MetricsRegistry()
         index = ShardedSignatureIndex.build(
-            refine_net,
-            refine_objs,
-            num_shards=num_shards,
-            metrics=registry,
+            refine_net, refine_objs, num_shards=num_shards
         )
-        assert index.knn_refine == "pruned"
         num_objects = len(refine_objs)
         for node in sample_nodes(refine_net, 25, seed=4):
             for k in (1, 3, 8, num_objects + 2):
                 for knn_type in KnnType:
-                    with refine_mode(index, "pruned"):
-                        got = index.knn(node, k, knn_type=knn_type)
-                    with refine_mode(index, "legacy"):
-                        want = index.knn(node, k, knn_type=knn_type)
-                    assert got == want, (node, k, knn_type)
-                with refine_mode(index, "pruned"):
-                    approx = index.knn_approximate(node, k)
-                with refine_mode(index, "legacy"):
-                    assert index.knn_approximate(node, k) == approx
-        assert registry.counter("knn_refine.shards_skipped").value > 0
+                    assert_matches_oracle(
+                        index.knn(node, k, knn_type=knn_type),
+                        knn_type, refine_objs, refine_oracle[:, node], k,
+                    )
 
     def test_batch_matches_singles(self, refine_net, refine_objs):
         index = ShardedSignatureIndex.build(
@@ -296,17 +261,23 @@ class TestBatchAndJoin:
         vectorized.knn_query_batch(index, [node, node, node], 5)
         assert registry.counter("knn_refine.frontier_hits").value > before
 
-    def test_join_matches_legacy(self, refine_net, refine_objs):
+    def test_join_matches_oracle(
+        self, refine_net, refine_objs, refine_oracle
+    ):
         index = SignatureIndex.build(
             refine_net, refine_objs, backend="scipy"
         )
-        with refine_mode(index, "pruned"):
-            scalar_pruned = queries.knn_join(index, index, 3)
-            vec_pruned = vectorized.knn_join(index, index, 3)
-        with refine_mode(index, "legacy"):
-            legacy = queries.knn_join(index, index, 3)
-        assert scalar_pruned == legacy
-        assert vec_pruned == legacy
+        joined = queries.knn_join(index, index, 3)
+        assert vectorized.knn_join(index, index, 3) == joined
+        for rank_a, neighbors in joined:
+            # A self-join never returns the probing object itself.
+            column = refine_oracle[:, refine_objs[rank_a]].copy()
+            column[rank_a] = np.inf
+            assert rank_a not in neighbors
+            assert_matches_oracle(
+                [refine_objs[rank] for rank in neighbors],
+                KnnType.SET, refine_objs, column, 3,
+            )
 
 
 class TestObservability:
@@ -322,9 +293,6 @@ class TestObservability:
         assert registry.counter("knn_refine.refined").value > 0
         assert registry.counter("knn_refine.pruned").value > 0
         assert registry.histogram("knn_refine.bound_tightness").count > 0
-
-    def test_stats_reports_the_knob(self, engine_index):
-        assert engine_index.stats()["knn_refine"] == "pruned"
 
     def test_trace_spans_cover_bound_and_exact(
         self, refine_net, refine_objs
@@ -343,13 +311,26 @@ class TestObservability:
             pytest.fail("no query hit a boundary bucket")
 
     def test_invalid_knob_rejected(self, refine_net, refine_objs):
-        with pytest.raises(IndexError_, match="knn_refine"):
-            SignatureIndex.build(
-                refine_net,
-                refine_objs,
-                backend="scipy",
-                knn_refine="sometimes",
-            )
+        # Every index family has one kNN path; there is no knob to set.
+        calls = [
+            lambda: SignatureIndex.build(
+                refine_net, refine_objs, knn_refine="pruned"
+            ),
+            lambda: SignatureIndex(
+                refine_net, refine_objs, None, None, None,
+                knn_refine="pruned",
+            ),
+            lambda: ShardedSignatureIndex.build(
+                refine_net, refine_objs, knn_refine="pruned"
+            ),
+            lambda: ShardedSignatureIndex(
+                refine_net, refine_objs, None, None, [],
+                knn_refine="pruned",
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="knn_refine"):
+                call()
 
 
 def empty_object_index(network) -> SignatureIndex:

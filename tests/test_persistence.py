@@ -136,12 +136,13 @@ class TestEngineFidelity:
 
     @staticmethod
     def _assert_retired_lines_load(
-        sig_index, directory, *, format, engine, cache_spec
+        sig_index, directory, *, format, engine, cache_spec, refine
     ):
         """Save ``sig_index`` with the meta lines older releases wrote for
-        a ``decoded_cache`` and a ``query_engine`` choice; the snapshot
-        must load on the vectorized engine, answer bit-identically to its
-        source index, and drop the retired lines when saved again."""
+        a ``decoded_cache``, a ``knn_refine`` mode and a ``query_engine``
+        choice; the snapshot must load on the vectorized engine, answer
+        bit-identically to its source index, and drop the retired lines
+        when saved again."""
         save_index(sig_index, directory, format=format)
         meta_path = directory / "meta.txt"
         lines = [
@@ -150,7 +151,11 @@ class TestEngineFidelity:
             for line in meta_path.read_text().splitlines()
         ]
         meta_path.write_text(
-            "\n".join(lines + [f"decoded_cache {cache_spec}"]) + "\n"
+            "\n".join(
+                lines
+                + [f"decoded_cache {cache_spec}", f"knn_refine {refine}"]
+            )
+            + "\n"
         )
         loaded = load_index(directory)
         assert loaded.query_engine == "vectorized"
@@ -160,12 +165,14 @@ class TestEngineFidelity:
         want = (
             sig_index.range_query_batch(nodes, 100.0, with_distances=True),
             sig_index.knn_batch(nodes, 3, knn_type=KnnType.EXACT_DISTANCES),
+            sig_index.knn_batch(nodes, 5, knn_type=KnnType.ORDERED),
             sig_index.counter.logical_reads,
             sig_index.decompressions,
         )
         got = (
             loaded.range_query_batch(nodes, 100.0, with_distances=True),
             loaded.knn_batch(nodes, 3, knn_type=KnnType.EXACT_DISTANCES),
+            loaded.knn_batch(nodes, 5, knn_type=KnnType.ORDERED),
             loaded.counter.logical_reads,
             loaded.decompressions,
         )
@@ -174,20 +181,23 @@ class TestEngineFidelity:
         meta = meta_path.read_text()
         assert "query_engine vectorized" in meta
         assert "decoded_cache" not in meta
+        assert "knn_refine" not in meta
 
     def test_bounded_decoded_cache_round_trips(self, sig_index, tmp_path):
-        """A v2 snapshot saved with ``query_engine columnar`` and a
-        48-row decoded cache (engine and cache are both retired)."""
+        """A v2 snapshot saved with ``query_engine columnar``, a 48-row
+        decoded cache and ``knn_refine legacy`` (all three retired)."""
         self._assert_retired_lines_load(
             sig_index, tmp_path / "idx",
-            format=2, engine="columnar", cache_spec="48",
+            format=2, engine="columnar", cache_spec="48", refine="legacy",
         )
 
     def test_unbounded_decoded_cache_round_trips(self, sig_index, tmp_path):
-        """A v1 snapshot saved with an unbounded decoded cache."""
+        """A v1 snapshot saved with an unbounded decoded cache and
+        ``knn_refine pruned``."""
         self._assert_retired_lines_load(
             sig_index, tmp_path / "idx",
             format=1, engine="vectorized", cache_spec="unbounded",
+            refine="pruned",
         )
 
     def test_legacy_meta_without_engine_lines_loads(self, sig_index, tmp_path):

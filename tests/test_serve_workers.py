@@ -71,7 +71,7 @@ class TestWorkerModule:
             v, w = index.network.neighbors(0)[0]
             index.set_edge_weight(0, v, w * 3.0)
             log = (
-                (1, "changeset", (("set_weight", 0, v, w * 3.0),), 0, None),
+                (1, (("set_weight", 0, v, w * 3.0),)),
             )
             got, telemetry = worker_mod.run_batch(
                 1, log, "range", QUERY_NODES, (30.0, False)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SignatureIndex, load_index, save_index
+from repro.core import KnnType, SignatureIndex, load_index, save_index
 from repro.errors import IndexError_, PersistenceError
 from repro.network import random_planar_network, uniform_dataset
 from repro.shard import (
@@ -31,13 +31,19 @@ def _assert_same_answers(a, b, nodes=(0, 17, 42, 99, 250)):
         assert a.range_query(node, 40.0, with_distances=True) == (
             b.range_query(node, 40.0, with_distances=True)
         )
-        assert a.knn(node, 5) == b.knn(node, 5)
+        for knn_type in KnnType:
+            assert a.knn(node, 5, knn_type=knn_type) == (
+                b.knn(node, 5, knn_type=knn_type)
+            )
 
 
 class TestV3Roundtrip:
     def test_roundtrip_preserves_answers(self, built, tmp_path):
         _, _, sharded, _ = built
         save_index(sharded, tmp_path / "idx")  # auto-dispatches to v3
+        # Older releases also wrote a kNN refinement mode; it is ignored.
+        meta = tmp_path / "idx" / "meta.txt"
+        meta.write_text(meta.read_text() + "knn_refine legacy\n")
         loaded = load_index(tmp_path / "idx")
         assert isinstance(loaded, ShardedSignatureIndex)
         assert loaded.num_shards == sharded.num_shards

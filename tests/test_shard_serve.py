@@ -49,7 +49,7 @@ def _build_pair():
 
 def _entry(epoch, op, u, v, weight):
     """A one-delta update-log entry, as the coordinator appends it."""
-    return (epoch, "changeset", ((op, u, v, weight),), 0, None)
+    return (epoch, ((op, u, v, weight),))
 
 
 class TestShardWorkerModule:

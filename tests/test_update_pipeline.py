@@ -277,8 +277,8 @@ class TestCoordinatorBatching:
         assert results[0].epoch == 1
         assert results[0].applied == len(edges)
         assert len(coordinator.update_log) == 1
-        epoch, op, deltas, _, _ = coordinator.update_log[0]
-        assert (epoch, op) == (1, "changeset")
+        epoch, deltas = coordinator.update_log[0]
+        assert epoch == 1
         assert len(deltas) == len(edges)
         assert registry.counter("serve.update_batches").value == 1
         for (u, v), weight in zip(edges, (2.0, 3.0, 4.0, 5.0, 6.0, 7.0)):
@@ -299,10 +299,7 @@ class TestCoordinatorBatching:
         result = asyncio.run(main())
         assert result.epoch == 1
         assert coordinator.update_log == [
-            (
-                1, "changeset", (("set_weight", edge[0], edge[1], 3.25),),
-                0, None,
-            )
+            (1, (("set_weight", edge[0], edge[1], 3.25),))
         ]
 
     def test_bad_request_is_a_query_error(self, serving_world):
